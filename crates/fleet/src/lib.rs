@@ -14,11 +14,14 @@
 //!   submission, acceptance, completion, and status, riding the same
 //!   CRC-checked frame layer as the worker protocol.
 //! * [`pool`] — the shared worker pool ([`Pool`]): one event-loop
-//!   thread owning every worker connection and every campaign's round
-//!   state, replicating the single-campaign broker's full defense
-//!   stack (content addressing, in-flight windows, dispatch leases,
-//!   retry/quarantine, cross-validation and eviction, per-campaign
-//!   write-ahead logs, deterministic chaos injection) per campaign.
+//!   thread owning every worker connection and driving one
+//!   [`audit_net::round::RoundCore`] per campaign — the same sans-IO
+//!   round core under the single-campaign broker, so content
+//!   addressing, in-flight windows, dispatch leases, retry/quarantine,
+//!   cross-validation and eviction, and deterministic chaos injection
+//!   exist once — plus what is shared across campaigns: the fair-share
+//!   dispatch pump, lazy worker `Setup`, per-campaign write-ahead logs,
+//!   and metrics.
 //! * [`service`] — the front door ([`Fleet`]): one listening socket
 //!   whose accept loop sniffs each connection's first frame — `hello`
 //!   is a worker, `submit`/`status` is a tenant client, `metrics_req`

@@ -5,26 +5,24 @@
 //! [`PoolHandle`]; each runner hands the GA engine a
 //! [`CampaignDispatcher`] (an [`EvalDispatcher`]), whose `evaluate`
 //! ships the round to the pool and blocks until every slot is scored.
-//! Inside the pool, the single-campaign broker's defense stack is
-//! replicated *per campaign*:
 //!
-//! * content-addressed jobs ([`genome_key`]) with per-campaign
-//!   deterministic worker assignment (the campaign's own seed feeds the
-//!   FNV hash, so its schedule matches its solo run's),
-//! * per-`(worker, campaign)` in-flight windows — one tenant's
-//!   backpressure never consumes another's window,
-//! * dispatch leases, retry-with-requeue on worker loss, quarantine
-//!   after the retry budget,
-//! * cross-validation votes with byzantine eviction,
+//! Each campaign's round runs on its own [`RoundCore`] — the same
+//! sans-IO core under the single-campaign broker — fed with the
+//! campaign's own seed, so its worker assignment, verified-job set, and
+//! chaos fates match its solo run's, and its windows are per
+//! `(worker, campaign)`: one tenant's backpressure never consumes
+//! another's window. The pool itself adds only what is shared across
+//! campaigns:
+//!
+//! * the fair-share dispatch pump: which campaign dispatches next is
+//!   decided by the [`FairShare`](crate::scheduler::FairShare) arbiter
+//!   — and by construction none of that scheduling can reach any
+//!   campaign's results (see the crate docs),
+//! * result routing (each request id is unique across campaigns) and
+//!   worker loss or eviction, which requeues the worker's jobs in
+//!   *every* campaign,
 //! * a per-campaign write-ahead log (prefill served before dispatch),
-//! * deterministic chaos injection at the wire boundary (the plan
-//!   carries its own seed, so per-key fates match a solo run under the
-//!   same plan).
-//!
-//! Which campaign dispatches next is decided by the
-//! [`FairShare`](crate::scheduler::FairShare) arbiter — and by
-//! construction none of that scheduling can reach any campaign's
-//! results (see the crate docs).
+//! * metrics and status rendering.
 //!
 //! A worker is bound to one campaign's [`EvalContext`] at a time; the
 //! pool re-sends `Setup` lazily, only when the next dispatch for that
@@ -38,27 +36,23 @@
 //! timer; any message wakes it, and on wake it refreshes worker
 //! liveness clocks so a long park cannot read as mass worker death.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use audit_core::ga::{EvalDispatcher, Gene, Objectives};
-use audit_core::resilient::genome_key;
 use audit_core::ResilienceReport;
 use audit_error::AuditError;
-use audit_measure::fault::{mix, uniform, KeyHasher};
-use audit_net::chaos::{Direction, FrameFate, NetFaultPlan};
-use audit_net::frame::{write_corrupted_frame, write_frame};
+use audit_net::broker::BrokerConfig;
+use audit_net::chaos::NetFaultPlan;
+use audit_net::frame::write_frame;
 use audit_net::metrics::Scrape;
 use audit_net::proto::{EvalContext, Msg};
+use audit_net::round::{Action, Admission, Ready, RoundCore};
+use audit_net::session::{send_eval, WorkerEvent};
 use audit_net::transport::Conn;
 use audit_net::wal::{Prefill, Wal};
-
-/// Stream discriminator for the cross-validation selection hash — the
-/// same constant the single-campaign broker uses, so a campaign's
-/// verified-job set matches its solo run's.
-const STREAM_VERIFY: u64 = 0x5645_5246; // "VERF"
 
 /// Pool tuning knobs: the single-campaign [`audit_net::BrokerConfig`]
 /// minus the seed (each campaign brings its own). Results are invariant
@@ -125,18 +119,8 @@ pub(crate) struct RoundReply {
 pub(crate) enum PoolMsg {
     /// A worker finished its handshake; the pool owns its writer half.
     Joined { worker: u64, writer: Conn },
-    /// A result frame arrived from a worker.
-    Result {
-        worker: u64,
-        id: u64,
-        objectives: Objectives,
-        resilience: ResilienceReport,
-        cached: bool,
-    },
-    /// A liveness reply (or unsolicited ping) from a worker.
-    Pong { worker: u64 },
-    /// A worker's connection ended.
-    Lost { worker: u64 },
+    /// A result, a liveness reply, or the end of a worker's stream.
+    Worker { worker: u64, event: WorkerEvent },
     /// Register a campaign; replies with its id.
     Register {
         spec: Box<CampaignSpec>,
@@ -353,8 +337,6 @@ impl EvalDispatcher for CampaignDispatcher {
 struct PWorker {
     writer: Conn,
     last_seen: Instant,
-    /// In-flight evaluations per campaign (the per-tenant window).
-    in_flight: HashMap<u64, usize>,
     /// The campaign context the worker is currently set up with
     /// (interned id), if any.
     ctx: Option<u64>,
@@ -362,61 +344,10 @@ struct PWorker {
     results: u64,
 }
 
-impl PWorker {
-    fn in_flight_total(&self) -> usize {
-        self.in_flight.values().sum()
-    }
-}
-
-/// One queued dispatch copy.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    slot: usize,
-    key: u64,
-    attempt: u32,
-    copy: u32,
-}
-
-struct InFlight {
-    slot: usize,
-    key: u64,
-    attempt: u32,
-    copy: u32,
-    worker: u64,
-    sent_at: Instant,
-}
-
-struct Vote {
-    id: u64,
-    worker: u64,
-    objectives: Objectives,
-    resilience: ResilienceReport,
-}
-
-struct KeyState {
-    slot: usize,
-    needed: usize,
-    dispatched: u32,
-    votes: Vec<Vote>,
-}
-
-/// One campaign's open round.
-struct ActiveRound {
+/// One campaign's open round: what its dispatcher is waiting on.
+struct OpenRound {
     population: Vec<Vec<Gene>>,
-    target: usize,
-    scores: Vec<(usize, Objectives)>,
-    pending: VecDeque<Pending>,
-    in_flight: HashMap<u64, InFlight>,
-    keys: HashMap<u64, KeyState>,
-    settled: HashSet<u64>,
     reply: Sender<Result<RoundReply, AuditError>>,
-}
-
-impl ActiveRound {
-    fn outstanding(&self, key: u64) -> bool {
-        self.pending.iter().any(|p| p.key == key)
-            || self.in_flight.values().any(|j| j.key == key)
-    }
 }
 
 /// One registered campaign.
@@ -425,18 +356,11 @@ struct Campaign {
     ctx: EvalContext,
     ctx_id: u64,
     fingerprint: u64,
-    seed: u64,
-    n_objectives: usize,
     wal: Option<Wal>,
-    prefill: Prefill,
-    report: ResilienceReport,
-    round: Option<ActiveRound>,
+    core: RoundCore,
+    round: Option<OpenRound>,
     rounds_done: u64,
     quarantined: u64,
-}
-
-fn objective_bits(objectives: &Objectives) -> Vec<u64> {
-    objectives.0.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The pool thread's state. Single-threaded by construction: every
@@ -448,8 +372,6 @@ struct PoolState {
     workers: HashMap<u64, PWorker>,
     campaigns: HashMap<u64, Campaign>,
     scheduler: crate::scheduler::FairShare,
-    /// Request id → owning campaign, for result routing.
-    owner: HashMap<u64, u64>,
     next_req: u64,
     next_campaign: u64,
     ctx_intern: HashMap<String, u64>,
@@ -469,7 +391,6 @@ impl PoolState {
             workers: HashMap::new(),
             campaigns: HashMap::new(),
             scheduler: crate::scheduler::FairShare::new(),
-            owner: HashMap::new(),
             next_req: 0,
             next_campaign: 0,
             ctx_intern: HashMap::new(),
@@ -530,7 +451,6 @@ impl PoolState {
                     PWorker {
                         writer,
                         last_seen: Instant::now(),
-                        in_flight: HashMap::new(),
                         ctx: None,
                         results: 0,
                     },
@@ -545,19 +465,16 @@ impl PoolState {
                     }
                 });
             }
-            PoolMsg::Pong { worker } => {
-                if let Some(w) = self.workers.get_mut(&worker) {
-                    w.last_seen = Instant::now();
-                }
-            }
-            PoolMsg::Lost { worker } => self.lose_worker(worker),
-            PoolMsg::Result {
-                worker,
-                id,
-                objectives,
-                resilience,
-                cached,
-            } => self.admit_result(worker, id, objectives, resilience, cached),
+            PoolMsg::Worker { worker, event } => match event {
+                WorkerEvent::Result {
+                    id,
+                    objectives,
+                    resilience,
+                    cached,
+                } => self.admit_result(worker, id, objectives, resilience, cached),
+                WorkerEvent::Pong => self.touch(worker),
+                WorkerEvent::Lost => self.lose_worker(worker),
+            },
             PoolMsg::Register { spec, reply } => {
                 let result = self.register(*spec);
                 reply.send(result).ok();
@@ -590,7 +507,7 @@ impl PoolState {
                                 wal.discard();
                             }
                         }
-                        c.report
+                        c.core.report()
                     }
                     None => ResilienceReport::default(),
                 };
@@ -640,7 +557,18 @@ impl PoolState {
                 let (wal, prefill) = Wal::open(path)?;
                 (Some(wal), prefill)
             }
-            None => (None, HashMap::new()),
+            None => (None, Prefill::new()),
+        };
+        let cfg = self.cfg;
+        let core_cfg = BrokerConfig {
+            seed: spec.seed,
+            window: cfg.window,
+            heartbeat: cfg.heartbeat,
+            dead_after: cfg.dead_after,
+            retries: cfg.retries,
+            quarantine_fitness: cfg.quarantine_fitness,
+            verify_fraction: cfg.verify_fraction,
+            chaos: cfg.chaos,
         };
         let id = self.next_campaign;
         self.next_campaign += 1;
@@ -650,13 +578,10 @@ impl PoolState {
             Campaign {
                 name: spec.name,
                 fingerprint: spec.ctx.fingerprint(),
-                n_objectives: spec.ctx.spec.objectives.len(),
+                core: RoundCore::new(core_cfg, spec.ctx.spec.objectives.len(), prefill),
                 ctx: spec.ctx,
                 ctx_id,
-                seed: spec.seed,
                 wal,
-                prefill,
-                report: ResilienceReport::default(),
                 round: None,
                 rounds_done: 0,
                 quarantined: 0,
@@ -687,50 +612,8 @@ impl PoolState {
                 .ok();
             return;
         }
-        let verify_fraction = self.cfg.verify_fraction;
-        let mut round = ActiveRound {
-            target: jobs.len(),
-            scores: Vec::with_capacity(jobs.len()),
-            pending: VecDeque::new(),
-            in_flight: HashMap::new(),
-            keys: HashMap::new(),
-            settled: HashSet::new(),
-            reply,
-            population,
-        };
-        for &slot in &jobs {
-            let key = genome_key(&round.population[slot]);
-            if let Some((objectives, delta)) = c.prefill.remove(&key) {
-                c.report.merge(&delta);
-                round.scores.push((slot, objectives));
-                continue;
-            }
-            let needed = if verify_fraction > 0.0
-                && uniform(mix(mix(c.seed, STREAM_VERIFY), key)) < verify_fraction
-            {
-                2
-            } else {
-                1
-            };
-            round.keys.insert(
-                key,
-                KeyState {
-                    slot,
-                    needed,
-                    dispatched: needed as u32,
-                    votes: Vec::new(),
-                },
-            );
-            for copy in 0..needed as u32 {
-                round.pending.push_back(Pending {
-                    slot,
-                    key,
-                    attempt: 0,
-                    copy,
-                });
-            }
-        }
-        c.round = Some(round);
+        c.core.open(&population, &jobs);
+        c.round = Some(OpenRound { population, reply });
         self.maybe_complete(campaign);
     }
 
@@ -741,14 +624,14 @@ impl PoolState {
         let Some(c) = self.campaigns.get_mut(&campaign) else {
             return;
         };
-        if c.round.as_ref().is_some_and(|r| r.scores.len() >= r.target) {
+        if c.round.is_some() && c.core.is_settled() {
             let round = c.round.take().expect("checked above");
             c.rounds_done += 1;
             round
                 .reply
                 .send(Ok(RoundReply {
-                    scores: round.scores,
-                    report: c.report,
+                    scores: c.core.close(),
+                    report: c.core.report(),
                     workers,
                 }))
                 .ok();
@@ -759,194 +642,77 @@ impl PoolState {
     fn fail_round(&mut self, campaign: u64, err: AuditError) {
         if let Some(c) = self.campaigns.get_mut(&campaign) {
             if let Some(round) = c.round.take() {
+                c.core.close();
                 round.reply.send(Err(err)).ok();
             }
         }
     }
 
-    /// Deterministic per-campaign worker choice: FNV over the
-    /// campaign's `(seed, key, attempt, copy)` indexes the sorted
-    /// live-worker list, probing linearly for a worker with window
-    /// slack *for this campaign*.
-    fn pick_worker(&self, campaign: u64, seed: u64, key: u64, attempt: u32, copy: u32) -> Option<u64> {
+    fn live_workers(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.workers.keys().copied().collect();
         ids.sort_unstable();
-        if ids.is_empty() {
-            return None;
-        }
-        let mut h = KeyHasher::new();
-        h.write_u64(seed)
-            .write_u64(key)
-            .write_u64(u64::from(attempt))
-            .write_u64(u64::from(copy));
-        let start = (h.finish() % ids.len() as u64) as usize;
-        for probe in 0..ids.len() {
-            let id = ids[(start + probe) % ids.len()];
-            let used = self.workers[&id].in_flight.get(&campaign).copied().unwrap_or(0);
-            if used < self.cfg.window.max(1) {
-                return Some(id);
-            }
-        }
-        None
+        ids
     }
 
-    /// True when `campaign` could usefully receive a dispatch grant
-    /// right now.
-    fn runnable(&self, campaign: u64) -> bool {
-        let Some(c) = self.campaigns.get(&campaign) else {
-            return false;
-        };
-        let Some(round) = c.round.as_ref() else {
-            return false;
-        };
-        let Some(front) = round.pending.front() else {
-            return false;
-        };
-        front.attempt > self.cfg.retries
-            || self
-                .pick_worker(campaign, c.seed, front.key, front.attempt, front.copy)
-                .is_some()
+    fn touch(&mut self, worker: u64) {
+        if let Some(w) = self.workers.get_mut(&worker) {
+            w.last_seen = Instant::now();
+        }
     }
 
     /// The fair-share dispatch loop: grant one dispatch at a time to
-    /// the arbiter's pick until nothing is runnable.
+    /// the arbiter's pick until no campaign's queue front can move.
     fn pump(&mut self) {
         loop {
-            let runnable: HashSet<u64> = self
+            let live = self.live_workers();
+            let runnable: HashMap<u64, Ready> = self
                 .campaigns
-                .keys()
-                .copied()
-                .filter(|&cid| self.runnable(cid))
+                .iter()
+                .filter_map(|(&cid, c)| Some((cid, c.core.ready(&live)?)))
                 .collect();
             if runnable.is_empty() {
                 return;
             }
             let mut scheduler = std::mem::take(&mut self.scheduler);
-            let grant = scheduler.next(|id| runnable.contains(&id));
+            let grant = scheduler.next(|id| runnable.contains_key(&id));
             self.scheduler = scheduler;
             let Some(cid) = grant else {
                 return;
             };
-            if let Err(e) = self.dispatch_one(cid) {
-                self.fail_round(cid, e);
-            }
+            self.dispatch_one(cid, runnable[&cid]);
         }
     }
 
-    /// Dispatches (or quarantines) one pending copy for `campaign`.
-    fn dispatch_one(&mut self, campaign: u64) -> Result<(), AuditError> {
-        let (front, seed, ctx_id) = {
-            let Some(c) = self.campaigns.get(&campaign) else {
-                return Ok(());
-            };
-            let Some(round) = c.round.as_ref() else {
-                return Ok(());
-            };
-            let Some(&front) = round.pending.front() else {
-                return Ok(());
-            };
-            (front, c.seed, c.ctx_id)
-        };
-        if front.attempt > self.cfg.retries {
-            if let Some(c) = self.campaigns.get_mut(&campaign) {
-                if let Some(round) = c.round.as_mut() {
-                    round.pending.pop_front();
+    /// Commits one queue-front step (dispatch or quarantine) for
+    /// `campaign`.
+    fn dispatch_one(&mut self, campaign: u64, ready: Ready) {
+        let c = self
+            .campaigns
+            .get_mut(&campaign)
+            .expect("runnable campaign live");
+        if let Ready::Dispatch(worker) = ready {
+            // Lazy setup: bind the worker to this campaign's context if
+            // it holds a different one. Setup frames are never
+            // chaos-injected; a failed write is a worker loss (nothing
+            // dispatched yet).
+            let w = self.workers.get_mut(&worker).expect("picked worker live");
+            if w.ctx != Some(c.ctx_id) {
+                let setup = Msg::Setup { ctx: c.ctx.clone() }.to_json();
+                if write_frame(&mut w.writer, &setup).is_err() {
+                    self.lose_worker(worker);
+                    return;
                 }
+                w.ctx = Some(c.ctx_id);
             }
-            self.quarantine_key(campaign, front.slot, front.key)?;
-            return Ok(());
         }
-        let Some(worker) =
-            self.pick_worker(campaign, seed, front.key, front.attempt, front.copy)
-        else {
-            return Ok(());
-        };
-        // Lazy setup: bind the worker to this campaign's context if it
-        // holds a different one. Setup frames are never chaos-injected;
-        // a failed write is a worker loss (nothing dispatched yet).
-        if self.workers[&worker].ctx != Some(ctx_id) {
-            let ctx = self.campaigns[&campaign].ctx.clone();
-            let w = self.workers.get_mut(&worker).expect("picked worker live");
-            if write_frame(&mut w.writer, &Msg::Setup { ctx }.to_json()).is_err() {
-                self.lose_worker(worker);
-                return Ok(());
-            }
-            w.ctx = Some(ctx_id);
-        }
-        // Commit: pop the job, log, send.
-        let Pending {
-            slot,
-            key,
-            attempt,
-            copy,
-        } = front;
-        let genome = {
-            let c = self.campaigns.get_mut(&campaign).expect("campaign live");
-            let round = c.round.as_mut().expect("round open");
-            round.pending.pop_front();
-            let genome = round.population[slot].clone();
-            if let Some(wal) = &mut c.wal {
-                wal.log_dispatch(key, slot, attempt)?;
-            }
-            genome
-        };
-        let id = self.next_req;
+        let mut out = Vec::new();
+        c.core
+            .commit(ready, self.next_req, Instant::now(), &mut out);
         self.next_req += 1;
-        self.dispatches += 1;
-        let fate = self.cfg.chaos.frame_fate(Direction::Outbound, key, attempt, copy);
-        let flip = self.cfg.chaos.corrupt_bit(Direction::Outbound, key, attempt, copy);
-        let write = if fate == FrameFate::Drop {
-            // The network ate the frame; the dispatch lease recovers
-            // the job.
-            Ok(())
-        } else {
-            let frame = Msg::Eval { id, genome }.to_json();
-            let w = self.workers.get_mut(&worker).expect("picked worker live");
-            match fate {
-                FrameFate::Corrupt => write_corrupted_frame(&mut w.writer, &frame, flip),
-                FrameFate::Duplicate => write_frame(&mut w.writer, &frame)
-                    .and_then(|()| write_frame(&mut w.writer, &frame)),
-                _ => write_frame(&mut w.writer, &frame),
-            }
-        };
-        match write {
-            Ok(()) => {
-                let w = self.workers.get_mut(&worker).expect("live");
-                *w.in_flight.entry(campaign).or_insert(0) += 1;
-                self.owner.insert(id, campaign);
-                let c = self.campaigns.get_mut(&campaign).expect("campaign live");
-                let round = c.round.as_mut().expect("round open");
-                round.in_flight.insert(
-                    id,
-                    InFlight {
-                        slot,
-                        key,
-                        attempt,
-                        copy,
-                        worker,
-                        sent_at: Instant::now(),
-                    },
-                );
-            }
-            Err(_) => {
-                // The write failing IS the loss signal; this job was
-                // never sent, so requeue it at the same attempt.
-                let c = self.campaigns.get_mut(&campaign).expect("campaign live");
-                let round = c.round.as_mut().expect("round open");
-                round.pending.push_front(Pending {
-                    slot,
-                    key,
-                    attempt,
-                    copy,
-                });
-                self.lose_worker(worker);
-            }
-        }
-        Ok(())
+        self.apply(campaign, out);
     }
 
-    /// Admits one result frame: chaos at the inbound boundary, then
-    /// vote accounting for the owning campaign.
+    /// Admits one result frame into its owning campaign's core.
     fn admit_result(
         &mut self,
         worker: u64,
@@ -958,67 +724,34 @@ impl PoolState {
         if cached {
             self.cache_hits += 1;
         }
-        let Some(&campaign) = self.owner.get(&id) else {
-            // Retired request id: replay or superseded dispatch. Keep
-            // the liveness signal only.
-            if let Some(w) = self.workers.get_mut(&worker) {
-                w.last_seen = Instant::now();
-            }
+        let mut out = Vec::new();
+        let owner = self.campaigns.iter_mut().find(|(_, c)| c.core.owns(id));
+        let Some((&campaign, c)) = owner else {
+            // Retired request id: replay, superseded dispatch, or a
+            // straggler of a closed round. Keep the liveness signal.
+            self.touch(worker);
             return;
         };
-        let Some((key, attempt, copy)) = self
-            .campaigns
-            .get(&campaign)
-            .and_then(|c| c.round.as_ref())
-            .and_then(|r| r.in_flight.get(&id))
-            .map(|j| (j.key, j.attempt, j.copy))
-        else {
-            self.owner.remove(&id);
-            if let Some(w) = self.workers.get_mut(&worker) {
-                w.last_seen = Instant::now();
-            }
-            return;
-        };
-        // Chaos: the worker stalls instead of answering.
-        if self.cfg.chaos.stalls(key, attempt, copy) {
-            self.lose_worker(worker);
-            return;
-        }
-        // Chaos: the result frame is lost or CRC-rejected on the wire;
-        // the dispatch lease recovers the job.
-        let fate = self.cfg.chaos.frame_fate(Direction::Inbound, key, attempt, copy);
-        if matches!(fate, FrameFate::Drop | FrameFate::Corrupt) {
-            return;
-        }
-        if let Some(w) = self.workers.get_mut(&worker) {
-            w.last_seen = Instant::now();
-            w.results += 1;
-            if let Some(used) = w.in_flight.get_mut(&campaign) {
-                *used = used.saturating_sub(1);
+        match c.core.on_result(id, objectives, resilience, &mut out) {
+            Admission::Retired => self.touch(worker),
+            Admission::Stalled => self.lose_worker(worker),
+            Admission::Dropped => {}
+            Admission::Admitted => {
+                if let Some(w) = self.workers.get_mut(&worker) {
+                    w.last_seen = Instant::now();
+                    w.results += 1;
+                }
+                self.results += 1;
+                self.apply(campaign, out);
             }
         }
-        self.owner.remove(&id);
-        let job = {
-            let c = self.campaigns.get_mut(&campaign).expect("owner maps live campaign");
-            let round = c.round.as_mut().expect("checked above");
-            round.in_flight.remove(&id).expect("checked above")
-        };
-        self.results += 1;
-        // Chaos: a byzantine worker's answer is perturbed in the low
-        // mantissa bits — plausible but wrong.
-        let mut objectives = objectives;
-        let mask = self.cfg.chaos.lie_mask(key, attempt, copy);
-        if mask != 0 {
-            if let Some(primary) = objectives.0.first_mut() {
-                *primary = f64::from_bits(primary.to_bits() ^ mask);
-            }
-        }
-        if let Err(e) = self.register_vote(campaign, &job, id, objectives.clone(), resilience) {
-            self.fail_round(campaign, e);
-            return;
-        }
-        if fate == FrameFate::Duplicate {
-            if let Err(e) = self.register_vote(campaign, &job, id, objectives, resilience) {
+    }
+
+    /// Carries out a campaign core's actions, then settles its round if
+    /// it is done; a WAL failure fails the round.
+    fn apply(&mut self, campaign: u64, out: Vec<Action>) {
+        for action in out {
+            if let Err(e) = self.apply_one(campaign, action) {
                 self.fail_round(campaign, e);
                 return;
             }
@@ -1026,150 +759,65 @@ impl PoolState {
         self.maybe_complete(campaign);
     }
 
-    /// Folds one answer into its job's vote set; settles on enough
-    /// bit-identical votes, evicting disagreeing (byzantine) voters.
-    fn register_vote(
-        &mut self,
-        campaign: u64,
-        job: &InFlight,
-        id: u64,
-        objectives: Objectives,
-        resilience: ResilienceReport,
-    ) -> Result<(), AuditError> {
-        let mut evicted: Vec<u64> = Vec::new();
-        {
-            let Some(c) = self.campaigns.get_mut(&campaign) else {
-                return Ok(());
-            };
-            let Some(round) = c.round.as_mut() else {
-                return Ok(());
-            };
-            if round.settled.contains(&job.key) {
-                return Ok(());
-            }
-            let Some(state) = round.keys.get_mut(&job.key) else {
-                return Ok(());
-            };
-            if state.votes.iter().any(|v| v.id == id) {
-                return Ok(());
-            }
-            state.votes.push(Vote {
+    fn apply_one(&mut self, campaign: u64, action: Action) -> Result<(), AuditError> {
+        let Some(c) = self.campaigns.get_mut(&campaign) else {
+            return Ok(());
+        };
+        match action {
+            Action::Send {
+                worker,
                 id,
-                worker: job.worker,
+                slot,
+                key,
+                attempt,
+                fate,
+                flip,
+            } => {
+                if let Some(wal) = &mut c.wal {
+                    wal.log_dispatch(key, slot, attempt)?;
+                }
+                self.dispatches += 1;
+                let round = c.round.as_ref().expect("dispatching round open");
+                let w = self.workers.get_mut(&worker).expect("picked worker live");
+                if send_eval(&mut w.writer, id, &round.population[slot], fate, flip).is_err() {
+                    // The write failing IS the loss signal; the job was
+                    // never sent.
+                    c.core.unsend(id);
+                    self.lose_worker(worker);
+                }
+            }
+            Action::Settled {
+                key,
                 objectives,
                 resilience,
-            });
-            let needed = state.needed;
-            let winner = state.votes.iter().position(|v| {
-                let bits = objective_bits(&v.objectives);
-                state
-                    .votes
-                    .iter()
-                    .filter(|o| objective_bits(&o.objectives) == bits)
-                    .count()
-                    >= needed
-            });
-            match winner {
-                Some(idx) => {
-                    let win_bits = objective_bits(&state.votes[idx].objectives);
-                    let verdict = state.votes[idx].objectives.clone();
-                    let delta = state.votes[idx].resilience;
-                    let slot = state.slot;
-                    evicted = state
-                        .votes
-                        .iter()
-                        .filter(|v| objective_bits(&v.objectives) != win_bits)
-                        .map(|v| v.worker)
-                        .collect();
-                    evicted.sort_unstable();
-                    evicted.dedup();
-                    round.keys.remove(&job.key);
-                    round.settled.insert(job.key);
-                    if let Some(wal) = &mut c.wal {
-                        wal.log_result(job.key, &verdict, &delta)?;
-                    }
-                    c.report.merge(&delta);
-                    round
-                        .scores
-                        .push((slot, verdict));
+                quarantined,
+                ..
+            } => {
+                if let Some(wal) = &mut c.wal {
+                    wal.log_result(key, &objectives, &resilience)?;
                 }
-                None => {
-                    // All copies answered and still no agreement: break
-                    // the tie with a fresh dispatch.
-                    if !round.outstanding(job.key) {
-                        let state = round.keys.get_mut(&job.key).expect("no winner, still open");
-                        let copy = state.dispatched;
-                        state.dispatched += 1;
-                        round.pending.push_front(Pending {
-                            slot: job.slot,
-                            key: job.key,
-                            attempt: job.attempt,
-                            copy,
-                        });
-                    }
+                if quarantined {
+                    c.quarantined += 1;
+                    self.quarantined += 1;
                 }
             }
-        }
-        for loser in evicted {
-            self.evict_worker(campaign, loser, job.key)?;
-        }
-        Ok(())
-    }
-
-    /// Evicts a worker caught lying on `key` (WAL evidence in the
-    /// catching campaign, then severed like a lost worker — its
-    /// in-flight jobs across *every* campaign are requeued).
-    fn evict_worker(&mut self, campaign: u64, worker: u64, key: u64) -> Result<(), AuditError> {
-        let quarantined = self
-            .campaigns
-            .values()
-            .filter_map(|c| c.round.as_ref())
-            .flat_map(|r| r.in_flight.values())
-            .filter(|j| j.worker == worker)
-            .count() as u64;
-        if let Some(c) = self.campaigns.get_mut(&campaign) {
-            if let Some(wal) = &mut c.wal {
-                wal.log_worker_evicted(worker, key, quarantined)?;
+            Action::Evict { worker, key } => {
+                // WAL evidence in the catching campaign, counting the
+                // worker's jobs across *every* campaign — all of which
+                // the loss requeues.
+                let held: usize = self
+                    .campaigns
+                    .values()
+                    .map(|c| c.core.held_by(worker))
+                    .sum();
+                let c = self.campaigns.get_mut(&campaign).expect("checked above");
+                if let Some(wal) = &mut c.wal {
+                    wal.log_worker_evicted(worker, key, held as u64)?;
+                }
+                self.evictions += 1;
+                self.lose_worker(worker);
             }
         }
-        self.evictions += 1;
-        self.lose_worker(worker);
-        Ok(())
-    }
-
-    /// Scores a job that exhausted its retry budget like a quarantined
-    /// candidate, logging the verdict so a resume does not retry it.
-    fn quarantine_key(&mut self, campaign: u64, slot: usize, key: u64) -> Result<(), AuditError> {
-        let quarantine_fitness = self.cfg.quarantine_fitness;
-        {
-            let Some(c) = self.campaigns.get_mut(&campaign) else {
-                return Ok(());
-            };
-            let Some(round) = c.round.as_mut() else {
-                return Ok(());
-            };
-            if round.settled.contains(&key) {
-                return Ok(());
-            }
-            round.settled.insert(key);
-            round.keys.remove(&key);
-            round.pending.retain(|p| p.key != key);
-            let delta = ResilienceReport {
-                evaluations: 1,
-                retries: 0,
-                quarantined: 1,
-                backoff_cycles: 0,
-            };
-            let verdict = Objectives(vec![quarantine_fitness; c.n_objectives.max(1)]);
-            if let Some(wal) = &mut c.wal {
-                wal.log_result(key, &verdict, &delta)?;
-            }
-            c.report.merge(&delta);
-            c.quarantined += 1;
-            round.scores.push((slot, verdict));
-        }
-        self.quarantined += 1;
-        self.maybe_complete(campaign);
         Ok(())
     }
 
@@ -1180,57 +828,15 @@ impl PoolState {
             w.writer.shutdown();
         }
         for c in self.campaigns.values_mut() {
-            let Some(round) = c.round.as_mut() else {
-                continue;
-            };
-            let orphaned: Vec<u64> = round
-                .in_flight
-                .iter()
-                .filter(|(_, j)| j.worker == worker)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in orphaned {
-                let job = round.in_flight.remove(&id).expect("orphan id present");
-                self.owner.remove(&id);
-                round.pending.push_front(Pending {
-                    slot: job.slot,
-                    key: job.key,
-                    attempt: job.attempt + 1,
-                    copy: job.copy,
-                });
-            }
+            c.core.worker_lost(worker);
         }
     }
 
     /// Lease expiry, liveness pings, silent-worker collection.
     fn heartbeat_tick(&mut self) {
-        for (&cid, c) in self.campaigns.iter_mut() {
-            let Some(round) = c.round.as_mut() else {
-                continue;
-            };
-            let expired: Vec<u64> = round
-                .in_flight
-                .iter()
-                .filter(|(_, j)| j.sent_at.elapsed() >= self.cfg.dead_after)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                let job = round.in_flight.remove(&id).expect("expired id present");
-                self.owner.remove(&id);
-                // Free the lapsed job's window slot: the worker may be
-                // alive but slow, and its window must not leak.
-                if let Some(w) = self.workers.get_mut(&job.worker) {
-                    if let Some(used) = w.in_flight.get_mut(&cid) {
-                        *used = used.saturating_sub(1);
-                    }
-                }
-                round.pending.push_front(Pending {
-                    slot: job.slot,
-                    key: job.key,
-                    attempt: job.attempt + 1,
-                    copy: job.copy,
-                });
-            }
+        let now = Instant::now();
+        for c in self.campaigns.values_mut() {
+            c.core.tick(now);
         }
         let ping = Msg::Ping.to_json();
         let mut lost: Vec<u64> = Vec::new();
@@ -1250,8 +856,7 @@ impl PoolState {
         let queue_depth: u64 = self
             .campaigns
             .values()
-            .filter_map(|c| c.round.as_ref())
-            .map(|r| r.pending.len() as u64)
+            .map(|c| c.core.pending() as u64)
             .sum();
         let mut s = Scrape::new();
         s.comment("audit fleet metrics");
@@ -1263,20 +868,18 @@ impl PoolState {
         s.sample("audit_fleet_quarantined_total", self.quarantined);
         s.sample("audit_fleet_worker_evictions_total", self.evictions);
         s.sample("audit_fleet_queue_depth", queue_depth);
-        let mut worker_ids: Vec<u64> = self.workers.keys().copied().collect();
-        worker_ids.sort_unstable();
-        for id in worker_ids {
-            let w = &self.workers[&id];
+        for id in self.live_workers() {
             let label = id.to_string();
+            let held: usize = self.campaigns.values().map(|c| c.core.held_by(id)).sum();
             s.labelled(
                 "audit_fleet_worker_results_total",
                 &[("worker", &label)],
-                w.results,
+                self.workers[&id].results,
             );
             s.labelled(
                 "audit_fleet_worker_in_flight",
                 &[("worker", &label)],
-                w.in_flight_total() as u64,
+                held as u64,
             );
         }
         let mut campaign_ids: Vec<u64> = self.campaigns.keys().copied().collect();
@@ -1288,7 +891,7 @@ impl PoolState {
             s.labelled(
                 "audit_fleet_campaign_queue_depth",
                 &labels,
-                c.round.as_ref().map_or(0, |r| r.pending.len() as u64),
+                c.core.pending() as u64,
             );
             s.labelled(
                 "audit_fleet_campaign_quarantined_total",
@@ -1311,12 +914,12 @@ impl PoolState {
         for id in ids {
             let c = &self.campaigns[&id];
             let state = match &c.round {
-                Some(r) => format!(
+                Some(_) => format!(
                     "round open ({}/{} scored, {} pending, {} in flight)",
-                    r.scores.len(),
-                    r.target,
-                    r.pending.len(),
-                    r.in_flight.len()
+                    c.core.scored(),
+                    c.core.target(),
+                    c.core.pending(),
+                    c.core.in_flight()
                 ),
                 None => "between rounds".to_string(),
             };

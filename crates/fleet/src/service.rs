@@ -19,15 +19,14 @@
 //! The matching client sides are the free functions [`submit`],
 //! [`status`], and [`scrape`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use audit_error::AuditError;
 use audit_measure::json::JsonValue;
 use audit_net::frame::{read_frame, write_frame, FrameOutcome};
 use audit_net::proto::{Msg, PROTOCOL_VERSION};
+use audit_net::session::{pump_worker, Acceptor};
 use audit_net::transport::{connect, Conn, Listener};
 
 use crate::pool::{FleetConfig, Pool, PoolHandle, PoolMsg};
@@ -77,9 +76,7 @@ pub struct Fleet {
     pool: Pool,
     handle: PoolHandle,
     submissions: Receiver<Submission>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<Conn>>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Fleet {
@@ -92,26 +89,21 @@ impl Fleet {
     pub fn bind(addr: &str, cfg: FleetConfig) -> Result<Fleet, AuditError> {
         let listener = Listener::bind(addr).map_err(|e| AuditError::io(addr, &e))?;
         let bound = listener.local_addr_string();
-        set_nonblocking(&listener).map_err(|e| AuditError::io(addr, &e))?;
         let pool = Pool::start(cfg);
         let handle = pool.handle();
         let (sub_tx, submissions) = channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
-        let accept_conns = Arc::clone(&conns);
         let accept_pool = handle.clone();
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_pool, &sub_tx, &accept_stop, &accept_conns);
-        });
+        let acceptor = Acceptor::spawn(listener, move |conn, peer| {
+            let (pool, submissions) = (accept_pool.clone(), sub_tx.clone());
+            std::thread::spawn(move || session(conn, peer, &pool, &submissions));
+        })
+        .map_err(|e| AuditError::io(addr, &e))?;
         Ok(Fleet {
             addr: bound,
             pool,
             handle,
             submissions,
-            stop,
-            conns,
-            accept_thread: Some(accept_thread),
+            acceptor,
         })
     }
 
@@ -162,66 +154,15 @@ impl Fleet {
     /// `Shutdown` frame), and joins the pool thread. Called
     /// automatically on drop.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Join the accept loop before draining the registry, so a peer
-        // connecting during shutdown is registered and released too.
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().ok();
-        }
+        self.acceptor.stop();
         self.pool.shutdown();
-        let shutdown_frame = Msg::Shutdown.to_json();
-        if let Ok(mut conns) = self.conns.lock() {
-            for conn in conns.iter_mut() {
-                write_frame(conn, &shutdown_frame).ok();
-                conn.shutdown();
-            }
-            conns.clear();
-        }
+        self.acceptor.release();
     }
 }
 
 impl Drop for Fleet {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn set_nonblocking(listener: &Listener) -> std::io::Result<()> {
-    match listener {
-        Listener::Tcp(l) => l.set_nonblocking(true),
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-    }
-}
-
-/// Polls for connections until told to stop; each accepted socket gets
-/// a sniff/session thread.
-fn accept_loop(
-    listener: &Listener,
-    pool: &PoolHandle,
-    submissions: &Sender<Submission>,
-    stop: &AtomicBool,
-    conns: &Mutex<Vec<Conn>>,
-) {
-    let ids = AtomicUsize::new(0);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                if let Ok(clone) = conn.try_clone() {
-                    if let Ok(mut registry) = conns.lock() {
-                        registry.push(clone);
-                    }
-                }
-                let worker = ids.fetch_add(1, Ordering::SeqCst) as u64;
-                let pool = pool.clone();
-                let submissions = submissions.clone();
-                std::thread::spawn(move || session(conn, worker, &pool, &submissions));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
     }
 }
 
@@ -299,42 +240,9 @@ fn worker_session(mut conn: Conn, worker: u64, first: &JsonValue, pool: &PoolHan
     if !pool.send(PoolMsg::Joined { worker, writer }) {
         return;
     }
-    // Clean EOF, a torn tail, or a read error ends the session and
-    // reports the worker lost; a CRC-rejected frame is dropped and the
-    // stream stays alive (the dispatch lease re-issues whatever it
-    // carried).
-    loop {
-        let v = match read_frame(&mut conn) {
-            Ok(FrameOutcome::Frame(v)) => v,
-            Ok(FrameOutcome::Corrupt) => continue,
-            _ => break,
-        };
-        match Msg::from_json(&v) {
-            Ok(Msg::Result {
-                id,
-                objectives,
-                resilience,
-                cached,
-            }) => {
-                if !pool.send(PoolMsg::Result {
-                    worker,
-                    id,
-                    objectives,
-                    resilience,
-                    cached,
-                }) {
-                    return;
-                }
-            }
-            Ok(Msg::Pong | Msg::Ping) => {
-                if !pool.send(PoolMsg::Pong { worker }) {
-                    return;
-                }
-            }
-            _ => break,
-        }
-    }
-    pool.send(PoolMsg::Lost { worker });
+    pump_worker(&mut conn, |event| {
+        pool.send(PoolMsg::Worker { worker, event })
+    });
 }
 
 /// Reads one frame, treating EOF and corruption as errors — the client

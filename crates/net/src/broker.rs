@@ -3,89 +3,54 @@
 //!
 //! The broker is an [`EvalDispatcher`], so the GA engine drives it
 //! exactly as it drives the in-process thread pool: hand over the slots
-//! to score, get back `(slot, objectives)` pairs. Everything
-//! scheduling-related stays inside this module and provably cannot
-//! reach the results:
+//! to score, get back `(slot, objectives)` pairs. It is a thin driver
+//! over one [`RoundCore`], which holds the whole defense stack —
+//! content-addressed jobs, deterministic assignment under a bounded
+//! in-flight window, retry and quarantine, dispatch leases,
+//! cross-validation with byzantine eviction, and deterministic chaos —
+//! and provably cannot let scheduling reach the results (see
+//! [`crate::round`]). The broker adds the I/O:
 //!
-//! * **Content-addressed work.** Each job is keyed by
-//!   [`audit_core::resilient::genome_key`]; a worker computes
-//!   [`audit_core::FitnessSpec::evaluate_objectives`], which is
-//!   deterministic per genome, so *which* worker runs a job (or how
-//!   many times it is re-run after a worker dies) cannot change the
-//!   result.
-//! * **Deterministic assignment.** A job's worker is chosen by FNV
-//!   hashing `(seed, key, attempt, copy)` — the same
-//!   [`KeyHasher`] discipline the fault injector uses — over the sorted
-//!   live-worker list, with a linear probe for window slack. Scheduling
-//!   is reproducible, not load-dependent.
-//! * **Bounded in-flight window.** At most
-//!   [`BrokerConfig::window`] evaluations are outstanding per worker;
-//!   the rest queue in the broker, so a slow worker applies backpressure
-//!   instead of hoarding a generation.
-//! * **Worker loss → deterministic retry.** A dead worker's in-flight
-//!   jobs are re-dispatched with `attempt + 1` (landing on another
-//!   worker); after [`BrokerConfig::retries`] losses the job is
-//!   quarantined at [`BrokerConfig::quarantine_fitness`], mirroring the
-//!   single-process [`audit_core::MeasurePolicy`] quarantine discipline.
-//! * **Dispatch leases.** Every outstanding evaluation carries a lease
-//!   of [`BrokerConfig::dead_after`]; a job whose answer never arrives
-//!   (dropped frame, CRC32-rejected frame, wedged worker) is
-//!   re-dispatched at the next attempt when the lease expires. A late
-//!   answer for a superseded dispatch finds its request id retired and
-//!   is ignored — duplicate/stale rejection is keyed on the dispatch
-//!   id, which is unique per `(key, attempt, copy)` issue.
-//! * **Cross-validation.** With [`BrokerConfig::verify_fraction`] > 0,
-//!   a pure-hash-selected fraction of jobs is dispatched to *two*
-//!   workers and settles only when two answers agree bit-for-bit. A
-//!   disagreeing (byzantine) worker is in the minority once agreement
-//!   forms: it is evicted, its in-flight jobs are quarantined for
-//!   re-dispatch, and a `worker_evicted` record lands in the WAL.
-//!   Exactly one resilience delta is merged per job, so the final
-//!   [`ResilienceReport`] stays identical to a plain in-process run.
+//! * **Sockets.** Workers are accepted and handshaken (`Hello` →
+//!   `Setup { ctx }`, eagerly) on their own threads, and their frames
+//!   arrive as events on one channel; the core's `Send` actions become
+//!   `eval` frames, written under their chaos fate.
+//! * **Liveness.** Every [`BrokerConfig::heartbeat`] of silence the
+//!   broker pings every worker, declares workers silent for
+//!   [`BrokerConfig::dead_after`] lost, and ticks the core's leases.
 //! * **Write-ahead log.** With [`Broker::attach_wal`], every dispatch is
-//!   logged before the frame is sent and every result after it arrives,
-//!   as NDJSON next to the run journal. A killed broker resumed with
-//!   `--resume` replays finished generations from the journal and
-//!   prefills the partial generation from the WAL instead of
-//!   re-measuring.
-//! * **Chaos.** [`BrokerConfig::chaos`] injects a deterministic
-//!   [`NetFaultPlan`] at the broker's own wire boundary (see
-//!   [`crate::chaos`]): outbound `eval` frames are dropped, duplicated,
-//!   or bit-flipped as they are sent; inbound `result` frames are
-//!   discarded, replayed, perturbed (byzantine lies), or escalated to a
-//!   full worker stall as they are admitted. Every defense above is
-//!   exercised by it; with the plan disabled the wire bytes are
-//!   untouched.
+//!   logged before the frame is sent, every settled result after it
+//!   arrives, and every eviction as it happens, as NDJSON next to the run
+//!   journal. A killed broker resumed with `--resume` replays finished
+//!   generations from the journal and prefills the partial generation
+//!   from the WAL instead of re-measuring.
 //! * **Metrics.** The broker keeps [`ServeMetrics`] counters
 //!   (dispatches, results, cache hits, quarantines, evictions, queue
 //!   depth) and answers any connection whose *first* frame is
-//!   [`Msg::MetricsReq`] with a plain-text scrape snapshot — a fleet of
-//!   one gets the same observability surface as `audit fleet serve`.
-//!   Counters never feed back into scheduling, so scraping cannot
-//!   perturb a run.
+//!   [`Msg::MetricsReq`] with a plain-text scrape snapshot. Counters
+//!   never feed back into scheduling, so scraping cannot perturb a run.
 //! * **Idle parking.** With no workers connected and nothing in
 //!   flight, the dispatch loop blocks on its event channel (parking the
 //!   thread on the channel's condvar) instead of spinning the heartbeat
 //!   timer; a joining worker wakes it. Heartbeat polling only runs
 //!   while there is someone to ping or a lease to expire.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use audit_core::ga::{EvalDispatcher, Gene, Objectives};
-use audit_core::resilient::genome_key;
 use audit_core::ResilienceReport;
 use audit_error::AuditError;
-use audit_measure::fault::{mix, uniform, KeyHasher};
 
-use crate::chaos::{Direction, FrameFate, NetFaultPlan};
-use crate::frame::{read_frame, write_corrupted_frame, write_frame, FrameOutcome};
+use crate::chaos::NetFaultPlan;
+use crate::frame::{read_frame, write_frame, FrameOutcome};
 use crate::metrics::ServeMetrics;
 use crate::proto::{EvalContext, Msg, PROTOCOL_VERSION};
+use crate::round::{Action, Admission, RoundCore};
+use crate::session::{pump_worker, send_eval, Acceptor, WorkerEvent};
 use crate::transport::{Conn, Listener};
 use crate::wal::{Prefill, Wal};
 
@@ -139,80 +104,12 @@ impl Default for BrokerConfig {
 /// Events flowing from the accept/reader threads to the broker.
 enum Event {
     Joined { worker: u64, writer: Conn },
-    Result {
-        worker: u64,
-        id: u64,
-        objectives: Objectives,
-        resilience: ResilienceReport,
-    },
-    Pong { worker: u64 },
-    Lost { worker: u64 },
+    Worker(u64, WorkerEvent),
 }
 
 struct WorkerState {
     writer: Conn,
     last_seen: Instant,
-    in_flight: usize,
-}
-
-/// One queued dispatch: a copy of a job awaiting a worker.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    slot: usize,
-    key: u64,
-    attempt: u32,
-    copy: u32,
-}
-
-struct InFlight {
-    slot: usize,
-    key: u64,
-    attempt: u32,
-    copy: u32,
-    worker: u64,
-    sent_at: Instant,
-}
-
-/// One answer received for a job, pending settlement.
-struct Vote {
-    id: u64,
-    worker: u64,
-    objectives: Objectives,
-    resilience: ResilienceReport,
-}
-
-/// Per-job settlement state: how many bit-identical votes are needed
-/// (1 normally, 2 under cross-validation) and the votes so far.
-struct KeyState {
-    slot: usize,
-    needed: usize,
-    /// Copies issued so far (primary, verification, tiebreaks) — the
-    /// next copy index, so chaos draws stay distinct per dispatch.
-    dispatched: u32,
-    votes: Vec<Vote>,
-}
-
-/// One evaluation round's bookkeeping. Empty outside a round (e.g. in
-/// [`Broker::wait_for_workers`]).
-#[derive(Default)]
-struct Round {
-    in_flight: HashMap<u64, InFlight>,
-    pending: VecDeque<Pending>,
-    keys: HashMap<u64, KeyState>,
-    /// Keys whose score is final; anything else arriving for them is a
-    /// stale duplicate and is ignored.
-    settled: HashSet<u64>,
-}
-
-impl Round {
-    fn outstanding(&self, key: u64) -> bool {
-        self.pending.iter().any(|p| p.key == key)
-            || self.in_flight.values().any(|j| j.key == key)
-    }
-}
-
-fn objective_bits(objectives: &Objectives) -> Vec<u64> {
-    objectives.0.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The broker side of distributed evaluation. See the module docs.
@@ -222,20 +119,10 @@ pub struct Broker {
     rx: Receiver<Event>,
     workers: HashMap<u64, WorkerState>,
     next_req: u64,
-    /// Objective-vector arity of the run (from the setup context), so
-    /// quarantine verdicts splat the fallback fitness across the same
-    /// number of axes every worker reports.
-    n_objectives: usize,
-    report: ResilienceReport,
+    core: RoundCore,
     wal: Option<Wal>,
-    prefill: Prefill,
     metrics: Arc<ServeMetrics>,
-    stop: Arc<AtomicBool>,
-    /// Every accepted socket, including ones still mid-handshake whose
-    /// `Joined` event has not been drained — shutdown must release them
-    /// all or a late joiner blocks on a read forever.
-    conns: Arc<Mutex<Vec<Conn>>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Broker {
@@ -249,46 +136,29 @@ impl Broker {
     pub fn bind(addr: &str, ctx: &EvalContext, cfg: BrokerConfig) -> Result<Broker, AuditError> {
         let listener = Listener::bind(addr).map_err(|e| AuditError::io(addr, &e))?;
         let bound = listener.local_addr_string();
-        set_nonblocking(&listener).map_err(|e| AuditError::io(addr, &e))?;
         let (tx, rx) = std::sync::mpsc::channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
         let metrics = Arc::new(ServeMetrics::new());
-        let accept_stop = Arc::clone(&stop);
-        let accept_conns = Arc::clone(&conns);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_ctx = ctx.clone();
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &accept_ctx,
-                &tx,
-                &accept_stop,
-                &accept_conns,
-                &accept_metrics,
+        let (session_ctx, session_metrics) = (ctx.clone(), Arc::clone(&metrics));
+        let acceptor = Acceptor::spawn(listener, move |conn, worker| {
+            let (tx, ctx, metrics) = (
+                tx.clone(),
+                session_ctx.clone(),
+                Arc::clone(&session_metrics),
             );
-        });
+            std::thread::spawn(move || worker_session(conn, worker, &ctx, &tx, &metrics));
+        })
+        .map_err(|e| AuditError::io(addr, &e))?;
         Ok(Broker {
             cfg,
             addr: bound,
             rx,
             workers: HashMap::new(),
             next_req: 0,
-            n_objectives: ctx.spec.objectives.len(),
-            report: ResilienceReport::default(),
+            core: RoundCore::new(cfg, ctx.spec.objectives.len(), Prefill::new()),
             wal: None,
-            prefill: HashMap::new(),
             metrics,
-            stop,
-            conns,
-            accept_thread: Some(accept_thread),
+            acceptor,
         })
-    }
-
-    /// The broker's scrape counters (shared with the connection threads
-    /// that answer [`Msg::MetricsReq`]).
-    pub fn metrics(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The bound address in connectable form (`:0` resolved).
@@ -311,7 +181,7 @@ impl Broker {
     pub fn attach_wal(&mut self, path: &Path) -> Result<(), AuditError> {
         let (wal, prefill) = Wal::open(path)?;
         self.wal = Some(wal);
-        self.prefill = prefill;
+        self.core.set_prefill(prefill);
         Ok(())
     }
 
@@ -321,19 +191,9 @@ impl Broker {
     ///
     /// Returns [`AuditError::Io`] if the accept thread has died.
     pub fn wait_for_workers(&mut self, n: usize) -> Result<(), AuditError> {
-        while self.live_workers().len() < n {
-            match self.rx.recv() {
-                Ok(event) => self.handle_event(event, &mut Round::default()),
-                Err(_) => {
-                    return Err(AuditError::io(
-                        "broker",
-                        &std::io::Error::new(
-                            std::io::ErrorKind::BrokenPipe,
-                            "accept thread terminated",
-                        ),
-                    ))
-                }
-            }
+        while self.workers.len() < n {
+            let event = self.rx.recv().map_err(|_| dead_channel())?;
+            self.handle_event(event, &[])?;
         }
         Ok(())
     }
@@ -342,23 +202,8 @@ impl Broker {
     /// Called automatically on drop; call it explicitly to release
     /// workers before the broker goes out of scope.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Join the accept loop *before* draining the registry: a worker
-        // reconnecting in this window (rejoin after an eviction or a
-        // chaos sever) is registered at accept time, so once the loop
-        // has exited the registry is complete and nobody misses their
-        // release.
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().ok();
-        }
-        let shutdown_frame = Msg::Shutdown.to_json();
-        if let Ok(mut conns) = self.conns.lock() {
-            for conn in conns.iter_mut() {
-                write_frame(conn, &shutdown_frame).ok();
-                conn.shutdown();
-            }
-            conns.clear();
-        }
+        self.acceptor.stop();
+        self.acceptor.release();
         self.workers.clear();
     }
 
@@ -376,40 +221,15 @@ impl Broker {
         ids
     }
 
-    /// Deterministic worker choice: FNV over `(seed, key, attempt,
-    /// copy)` indexes the sorted live-worker list, probing linearly for
-    /// a worker with window slack. Folding in the copy index steers the
-    /// two copies of a cross-validated job toward different workers.
-    fn pick_worker(&self, key: u64, attempt: u32, copy: u32) -> Option<u64> {
-        let ids = self.live_workers();
-        if ids.is_empty() {
-            return None;
+    fn touch(&mut self, worker: u64) {
+        if let Some(w) = self.workers.get_mut(&worker) {
+            w.last_seen = Instant::now();
         }
-        let mut h = KeyHasher::new();
-        h.write_u64(self.cfg.seed)
-            .write_u64(key)
-            .write_u64(u64::from(attempt))
-            .write_u64(u64::from(copy));
-        let start = (h.finish() % ids.len() as u64) as usize;
-        for probe in 0..ids.len() {
-            let id = ids[(start + probe) % ids.len()];
-            if self.workers[&id].in_flight < self.cfg.window.max(1) {
-                return Some(id);
-            }
-        }
-        None
     }
 
-    /// True when this job is cross-validated on two workers: a pure
-    /// hash of `(seed, key)` — independent of attempt, copy, and
-    /// scheduling, so the same jobs verify on every rerun and resume.
-    fn verifies(&self, key: u64) -> bool {
-        self.cfg.verify_fraction > 0.0
-            && uniform(mix(mix(self.cfg.seed, STREAM_VERIFY), key)) < self.cfg.verify_fraction
-    }
-
-    /// Folds one event into broker state.
-    fn handle_event(&mut self, event: Event, round: &mut Round) {
+    /// Folds one event into broker state; `population` is the open
+    /// round's (empty between rounds, where no result can be admitted).
+    fn handle_event(&mut self, event: Event, population: &[Vec<Gene>]) -> Result<(), AuditError> {
         match event {
             Event::Joined { worker, writer } => {
                 self.workers.insert(
@@ -417,51 +237,148 @@ impl Broker {
                     WorkerState {
                         writer,
                         last_seen: Instant::now(),
-                        in_flight: 0,
                     },
                 );
                 ServeMetrics::set(&self.metrics.workers, self.workers.len() as u64);
             }
-            Event::Pong { worker } => {
-                if let Some(w) = self.workers.get_mut(&worker) {
-                    w.last_seen = Instant::now();
+            Event::Worker(worker, WorkerEvent::Pong) => self.touch(worker),
+            Event::Worker(worker, WorkerEvent::Lost) => self.lose_worker(worker),
+            Event::Worker(
+                worker,
+                WorkerEvent::Result {
+                    id,
+                    objectives,
+                    resilience,
+                    ..
+                },
+            ) => {
+                let mut out = Vec::new();
+                match self.core.on_result(id, objectives, resilience, &mut out) {
+                    Admission::Retired | Admission::Admitted => self.touch(worker),
+                    Admission::Stalled => self.lose_worker(worker),
+                    Admission::Dropped => {}
                 }
+                self.apply(population, out)?;
             }
-            Event::Lost { worker } => self.lose_worker(worker, round),
-            Event::Result { worker, .. } => {
-                // Results carry per-round state; the caller intercepts
-                // them inside a round. Outside one (stale retransmits)
-                // only liveness matters.
-                if let Some(w) = self.workers.get_mut(&worker) {
-                    w.last_seen = Instant::now();
+        }
+        Ok(())
+    }
+
+    /// Carries out the core's actions: WAL appends, metrics, frame
+    /// writes, evictions.
+    fn apply(&mut self, population: &[Vec<Gene>], out: Vec<Action>) -> Result<(), AuditError> {
+        for action in out {
+            match action {
+                Action::Send {
+                    worker,
+                    id,
+                    slot,
+                    key,
+                    attempt,
+                    fate,
+                    flip,
+                } => {
+                    if let Some(wal) = &mut self.wal {
+                        wal.log_dispatch(key, slot, attempt)?;
+                    }
+                    ServeMetrics::add(&self.metrics.dispatches, 1);
+                    let w = self.workers.get_mut(&worker).expect("picked worker live");
+                    if send_eval(&mut w.writer, id, &population[slot], fate, flip).is_err() {
+                        // The write failing IS the loss signal; the job
+                        // was never sent.
+                        self.core.unsend(id);
+                        self.lose_worker(worker);
+                    }
+                }
+                Action::Settled {
+                    key,
+                    objectives,
+                    resilience,
+                    quarantined,
+                    ..
+                } => {
+                    if let Some(wal) = &mut self.wal {
+                        wal.log_result(key, &objectives, &resilience)?;
+                    }
+                    if quarantined {
+                        ServeMetrics::add(&self.metrics.quarantined, 1);
+                    } else {
+                        ServeMetrics::add(&self.metrics.results, 1);
+                    }
+                }
+                Action::Evict { worker, key } => {
+                    if let Some(wal) = &mut self.wal {
+                        wal.log_worker_evicted(worker, key, self.core.held_by(worker) as u64)?;
+                    }
+                    ServeMetrics::add(&self.metrics.evictions, 1);
+                    self.lose_worker(worker);
                 }
             }
         }
+        Ok(())
     }
 
-    /// Removes a worker and requeues its in-flight jobs at the next
-    /// attempt.
-    fn lose_worker(&mut self, worker: u64, round: &mut Round) {
+    /// Removes a worker; the core requeues its in-flight jobs at the
+    /// next attempt.
+    fn lose_worker(&mut self, worker: u64) {
         if let Some(w) = self.workers.remove(&worker) {
             w.writer.shutdown();
         }
         ServeMetrics::set(&self.metrics.workers, self.workers.len() as u64);
-        let orphaned: Vec<u64> = round
-            .in_flight
-            .iter()
-            .filter(|(_, j)| j.worker == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in orphaned {
-            let job = round.in_flight.remove(&id).expect("orphan id present");
-            // Requeue at the front so a recovering generation retires
-            // its oldest work first.
-            round.pending.push_front(Pending {
-                slot: job.slot,
-                key: job.key,
-                attempt: job.attempt + 1,
-                copy: job.copy,
-            });
+        self.core.worker_lost(worker);
+    }
+
+    /// Drives the open round until every slot is scored.
+    fn run_round(&mut self, population: &[Vec<Gene>]) -> Result<(), AuditError> {
+        loop {
+            // Dispatch while there is work and a worker with window
+            // slack to take it.
+            while let Some(ready) = self.core.ready(&self.live_workers()) {
+                let mut out = Vec::new();
+                self.core
+                    .commit(ready, self.next_req, Instant::now(), &mut out);
+                self.next_req += 1;
+                self.apply(population, out)?;
+            }
+            if self.core.is_settled() {
+                return Ok(());
+            }
+            ServeMetrics::set(&self.metrics.queue_depth, self.core.pending() as u64);
+            // With no workers connected and nothing in flight there is
+            // nobody to ping and no lease to expire: park on the
+            // channel (a condvar wait) instead of spinning the
+            // heartbeat timer. A joining worker wakes the loop.
+            let event = if self.workers.is_empty() && self.core.in_flight() == 0 {
+                Some(self.rx.recv().map_err(|_| dead_channel())?)
+            } else {
+                match self.rx.recv_timeout(self.cfg.heartbeat) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return Err(dead_channel()),
+                }
+            };
+            match event {
+                Some(event) => self.handle_event(event, population)?,
+                None => self.heartbeat_tick(),
+            }
+        }
+    }
+
+    /// Idle-timeout housekeeping: expire dispatch leases, ping
+    /// everyone, declare silent workers lost.
+    fn heartbeat_tick(&mut self) {
+        self.core.tick(Instant::now());
+        let ping = Msg::Ping.to_json();
+        let mut lost: Vec<u64> = Vec::new();
+        for (&id, w) in self.workers.iter_mut() {
+            if w.last_seen.elapsed() >= self.cfg.dead_after
+                || write_frame(&mut w.writer, &ping).is_err()
+            {
+                lost.push(id);
+            }
+        }
+        for id in lost {
+            self.lose_worker(id);
         }
     }
 }
@@ -478,151 +395,12 @@ impl EvalDispatcher for Broker {
         population: &[Vec<Gene>],
         jobs: &[usize],
     ) -> Result<Vec<(usize, Objectives)>, AuditError> {
-        let mut scores: Vec<(usize, Objectives)> = Vec::with_capacity(jobs.len());
-        let mut round = Round::default();
-        for &slot in jobs {
-            let key = genome_key(&population[slot]);
-            // A result logged by a previous (killed) broker is final:
-            // serve it from the WAL instead of re-measuring.
-            if let Some((objectives, delta)) = self.prefill.remove(&key) {
-                self.report.merge(&delta);
-                scores.push((slot, objectives));
-                continue;
-            }
-            let needed = if self.verifies(key) { 2 } else { 1 };
-            round.keys.insert(
-                key,
-                KeyState {
-                    slot,
-                    needed,
-                    dispatched: needed as u32,
-                    votes: Vec::new(),
-                },
-            );
-            for copy in 0..needed as u32 {
-                round.pending.push_back(Pending {
-                    slot,
-                    key,
-                    attempt: 0,
-                    copy,
-                });
-            }
-        }
-        let target = jobs.len();
-
-        while scores.len() < target {
-            // Dispatch while there is work and a worker with window
-            // slack to take it.
-            while let Some(&Pending {
-                slot,
-                key,
-                attempt,
-                copy,
-            }) = round.pending.front()
-            {
-                if attempt > self.cfg.retries {
-                    round.pending.pop_front();
-                    self.quarantine_key(slot, key, &mut round, &mut scores)?;
-                    continue;
-                }
-                let Some(worker) = self.pick_worker(key, attempt, copy) else {
-                    break;
-                };
-                round.pending.pop_front();
-                let id = self.next_req;
-                self.next_req += 1;
-                if let Some(wal) = &mut self.wal {
-                    wal.log_dispatch(key, slot, attempt)?;
-                }
-                ServeMetrics::add(&self.metrics.dispatches, 1);
-                let fate = self.cfg.chaos.frame_fate(Direction::Outbound, key, attempt, copy);
-                let flip = self.cfg.chaos.corrupt_bit(Direction::Outbound, key, attempt, copy);
-                let write = if fate == FrameFate::Drop {
-                    // The network ate the frame. The broker believes it
-                    // is out, so accounting proceeds; the dispatch
-                    // lease recovers the job.
-                    Ok(())
-                } else {
-                    let genome = population[slot].clone();
-                    let frame = Msg::Eval { id, genome }.to_json();
-                    let w = self.workers.get_mut(&worker).expect("picked worker live");
-                    match fate {
-                        FrameFate::Corrupt => write_corrupted_frame(&mut w.writer, &frame, flip),
-                        FrameFate::Duplicate => write_frame(&mut w.writer, &frame)
-                            .and_then(|()| write_frame(&mut w.writer, &frame)),
-                        _ => write_frame(&mut w.writer, &frame),
-                    }
-                };
-                match write {
-                    Ok(()) => {
-                        self.workers.get_mut(&worker).expect("live").in_flight += 1;
-                        round.in_flight.insert(
-                            id,
-                            InFlight {
-                                slot,
-                                key,
-                                attempt,
-                                copy,
-                                worker,
-                                sent_at: Instant::now(),
-                            },
-                        );
-                    }
-                    Err(_) => {
-                        // The write failing IS the loss signal; requeue
-                        // this job too (it was never sent).
-                        round.pending.push_front(Pending {
-                            slot,
-                            key,
-                            attempt,
-                            copy,
-                        });
-                        self.lose_worker(worker, &mut round);
-                    }
-                }
-            }
-            if scores.len() >= target {
-                break;
-            }
-            ServeMetrics::set(&self.metrics.queue_depth, round.pending.len() as u64);
-
-            let dead_channel = || {
-                AuditError::io(
-                    "broker",
-                    &std::io::Error::new(
-                        std::io::ErrorKind::BrokenPipe,
-                        "accept thread terminated",
-                    ),
-                )
-            };
-            // With no workers connected and nothing in flight there is
-            // nobody to ping and no lease to expire: park on the
-            // channel (a condvar wait) instead of spinning the
-            // heartbeat timer. A joining worker wakes the loop.
-            let event = if self.workers.is_empty() && round.in_flight.is_empty() {
-                Some(self.rx.recv().map_err(|_| dead_channel())?)
-            } else {
-                match self.rx.recv_timeout(self.cfg.heartbeat) {
-                    Ok(event) => Some(event),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => return Err(dead_channel()),
-                }
-            };
-            match event {
-                Some(Event::Result {
-                    worker,
-                    id,
-                    objectives,
-                    resilience,
-                }) => {
-                    self.admit_result(worker, id, objectives, resilience, &mut round, &mut scores)?;
-                }
-                Some(event) => self.handle_event(event, &mut round),
-                None => self.heartbeat_tick(&mut round),
-            }
-        }
+        self.core.open(population, jobs);
+        let run = self.run_round(population);
+        // Close even on failure, so no straggler keeps a window slot.
+        let scores = self.core.close();
         ServeMetrics::set(&self.metrics.queue_depth, 0);
-        Ok(scores)
+        run.map(|()| scores)
     }
 
     fn workers(&self) -> usize {
@@ -630,296 +408,15 @@ impl EvalDispatcher for Broker {
     }
 
     fn resilience(&self) -> ResilienceReport {
-        self.report
+        self.core.report()
     }
 }
 
-impl Broker {
-    /// Admits one `result` frame: applies inbound chaos, then routes
-    /// the answer through vote accounting.
-    fn admit_result(
-        &mut self,
-        worker: u64,
-        id: u64,
-        objectives: Objectives,
-        resilience: ResilienceReport,
-        round: &mut Round,
-        scores: &mut Vec<(usize, Objectives)>,
-    ) -> Result<(), AuditError> {
-        let Some(job) = round.in_flight.get(&id) else {
-            // A result for a retired request id: a replay, or the
-            // original answer of a dispatch superseded by lease expiry
-            // or worker loss — the re-dispatched copy is authoritative
-            // (and identical anyway). Ignore the payload; keep the
-            // liveness signal.
-            if let Some(w) = self.workers.get_mut(&worker) {
-                w.last_seen = Instant::now();
-            }
-            return Ok(());
-        };
-        let (key, attempt, copy) = (job.key, job.attempt, job.copy);
-        // Chaos: the worker stalls *instead of* answering — the result
-        // never existed and the worker goes silent until declared dead.
-        if self.cfg.chaos.stalls(key, attempt, copy) {
-            self.lose_worker(worker, round);
-            return Ok(());
-        }
-        // Chaos: the result frame is lost or damaged on the wire (the
-        // CRC32 trailer rejects a damaged frame at this boundary). The
-        // broker never sees it; the dispatch lease recovers the job.
-        let fate = self.cfg.chaos.frame_fate(Direction::Inbound, key, attempt, copy);
-        if matches!(fate, FrameFate::Drop | FrameFate::Corrupt) {
-            return Ok(());
-        }
-        if let Some(w) = self.workers.get_mut(&worker) {
-            w.last_seen = Instant::now();
-            w.in_flight = w.in_flight.saturating_sub(1);
-        }
-        let job = round.in_flight.remove(&id).expect("checked above");
-        // Chaos: a byzantine worker lies — its answer is perturbed in
-        // the low mantissa bits, plausible but wrong. Only detectable
-        // on cross-validated jobs.
-        let mut objectives = objectives;
-        let mask = self.cfg.chaos.lie_mask(key, attempt, copy);
-        if mask != 0 {
-            if let Some(primary) = objectives.0.first_mut() {
-                *primary = f64::from_bits(primary.to_bits() ^ mask);
-            }
-        }
-        self.register_vote(&job, id, objectives.clone(), resilience, round, scores)?;
-        if fate == FrameFate::Duplicate {
-            // The same frame arrives a second time: the replay must be
-            // rejected by the settled/voted accounting with no double
-            // count.
-            self.register_vote(&job, id, objectives, resilience, round, scores)?;
-        }
-        Ok(())
-    }
-
-    /// Folds one answer into its job's vote set; settles the job when
-    /// enough bit-identical votes agree, evicting any disagreeing
-    /// (byzantine) voters.
-    fn register_vote(
-        &mut self,
-        job: &InFlight,
-        id: u64,
-        objectives: Objectives,
-        resilience: ResilienceReport,
-        round: &mut Round,
-        scores: &mut Vec<(usize, Objectives)>,
-    ) -> Result<(), AuditError> {
-        if round.settled.contains(&job.key) {
-            // A duplicate or stale answer for a job whose score is
-            // final: ignored, accounting unchanged.
-            return Ok(());
-        }
-        let Some(state) = round.keys.get_mut(&job.key) else {
-            return Ok(());
-        };
-        if state.votes.iter().any(|v| v.id == id) {
-            // A replayed frame for a dispatch that already voted.
-            return Ok(());
-        }
-        state.votes.push(Vote {
-            id,
-            worker: job.worker,
-            objectives,
-            resilience,
-        });
-        let needed = state.needed;
-        let winner = state.votes.iter().position(|v| {
-            let bits = objective_bits(&v.objectives);
-            state
-                .votes
-                .iter()
-                .filter(|o| objective_bits(&o.objectives) == bits)
-                .count()
-                >= needed
-        });
-        match winner {
-            Some(idx) => {
-                let win_bits = objective_bits(&state.votes[idx].objectives);
-                let verdict = state.votes[idx].objectives.clone();
-                let delta = state.votes[idx].resilience;
-                let slot = state.slot;
-                let mut evicted: Vec<u64> = state
-                    .votes
-                    .iter()
-                    .filter(|v| objective_bits(&v.objectives) != win_bits)
-                    .map(|v| v.worker)
-                    .collect();
-                evicted.sort_unstable();
-                evicted.dedup();
-                round.keys.remove(&job.key);
-                round.settled.insert(job.key);
-                if let Some(wal) = &mut self.wal {
-                    wal.log_result(job.key, &verdict, &delta)?;
-                }
-                // Exactly one resilience delta per job — all agreeing
-                // votes carry the identical delta (deterministic
-                // evaluation), so the merged report matches the plain
-                // in-process run.
-                self.report.merge(&delta);
-                ServeMetrics::add(&self.metrics.results, 1);
-                scores.push((slot, verdict));
-                for loser in evicted {
-                    self.evict_worker(loser, job.key, round)?;
-                }
-            }
-            None => {
-                // No agreement yet. If every copy has answered and they
-                // still disagree, break the tie with a fresh dispatch —
-                // its vote sides with the honest majority.
-                if !round.outstanding(job.key) {
-                    let state = round.keys.get_mut(&job.key).expect("no winner, still open");
-                    let copy = state.dispatched;
-                    state.dispatched += 1;
-                    round.pending.push_front(Pending {
-                        slot: job.slot,
-                        key: job.key,
-                        attempt: job.attempt,
-                        copy,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Evicts a worker caught lying on `key`: logs a `worker_evicted`
-    /// record (how many of its in-flight jobs are quarantined for
-    /// re-dispatch) and severs it like a lost worker.
-    fn evict_worker(&mut self, worker: u64, key: u64, round: &mut Round) -> Result<(), AuditError> {
-        let quarantined = round
-            .in_flight
-            .values()
-            .filter(|j| j.worker == worker)
-            .count() as u64;
-        if let Some(wal) = &mut self.wal {
-            wal.log_worker_evicted(worker, key, quarantined)?;
-        }
-        ServeMetrics::add(&self.metrics.evictions, 1);
-        self.lose_worker(worker, round);
-        Ok(())
-    }
-
-    /// Gives up on a job whose workers keep dying: score it like a
-    /// quarantined candidate and log the verdict so a resume does not
-    /// retry it either.
-    fn quarantine_key(
-        &mut self,
-        slot: usize,
-        key: u64,
-        round: &mut Round,
-        scores: &mut Vec<(usize, Objectives)>,
-    ) -> Result<(), AuditError> {
-        if round.settled.contains(&key) {
-            // Another copy already settled the job; this straggler
-            // copy simply dies.
-            return Ok(());
-        }
-        round.settled.insert(key);
-        round.keys.remove(&key);
-        round.pending.retain(|p| p.key != key);
-        let delta = ResilienceReport {
-            evaluations: 1,
-            retries: 0,
-            quarantined: 1,
-            backoff_cycles: 0,
-        };
-        let verdict = Objectives(vec![self.cfg.quarantine_fitness; self.n_objectives.max(1)]);
-        if let Some(wal) = &mut self.wal {
-            wal.log_result(key, &verdict, &delta)?;
-        }
-        self.report.merge(&delta);
-        ServeMetrics::add(&self.metrics.quarantined, 1);
-        scores.push((slot, verdict));
-        Ok(())
-    }
-
-    /// Idle-timeout housekeeping: expire dispatch leases, ping
-    /// everyone, declare silent workers lost.
-    fn heartbeat_tick(&mut self, round: &mut Round) {
-        // A job outstanding past its lease is presumed lost on the wire
-        // (dropped or CRC-rejected frame, wedged worker): re-dispatch
-        // at the next attempt. If the original answer straggles in
-        // later, its request id is retired and the vote accounting
-        // ignores it.
-        let expired: Vec<u64> = round
-            .in_flight
-            .iter()
-            .filter(|(_, j)| j.sent_at.elapsed() >= self.cfg.dead_after)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            let job = round.in_flight.remove(&id).expect("expired id present");
-            if let Some(w) = self.workers.get_mut(&job.worker) {
-                w.in_flight = w.in_flight.saturating_sub(1);
-            }
-            round.pending.push_front(Pending {
-                slot: job.slot,
-                key: job.key,
-                attempt: job.attempt + 1,
-                copy: job.copy,
-            });
-        }
-        let ping = Msg::Ping.to_json();
-        let mut lost: Vec<u64> = Vec::new();
-        for (&id, w) in self.workers.iter_mut() {
-            if w.last_seen.elapsed() >= self.cfg.dead_after
-                || write_frame(&mut w.writer, &ping).is_err()
-            {
-                lost.push(id);
-            }
-        }
-        for id in lost {
-            self.lose_worker(id, round);
-        }
-    }
-}
-
-/// Stream discriminator for the cross-validation selection hash.
-const STREAM_VERIFY: u64 = 0x5645_5246; // "VERF"
-
-fn set_nonblocking(listener: &Listener) -> std::io::Result<()> {
-    match listener {
-        Listener::Tcp(l) => l.set_nonblocking(true),
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-    }
-}
-
-/// Polls for connections until told to stop; each accepted socket gets
-/// a handshake/reader thread.
-fn accept_loop(
-    listener: &Listener,
-    ctx: &EvalContext,
-    tx: &Sender<Event>,
-    stop: &AtomicBool,
-    conns: &Mutex<Vec<Conn>>,
-    metrics: &Arc<ServeMetrics>,
-) {
-    let ids = AtomicUsize::new(0);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                if let Ok(clone) = conn.try_clone() {
-                    if let Ok(mut registry) = conns.lock() {
-                        registry.push(clone);
-                    }
-                }
-                let worker = ids.fetch_add(1, Ordering::SeqCst) as u64;
-                let tx = tx.clone();
-                let ctx = ctx.clone();
-                let metrics = Arc::clone(metrics);
-                std::thread::spawn(move || worker_session(conn, worker, &ctx, &tx, &metrics));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
+fn dead_channel() -> AuditError {
+    AuditError::io(
+        "broker",
+        &std::io::Error::new(std::io::ErrorKind::BrokenPipe, "accept thread terminated"),
+    )
 }
 
 /// Handshakes one worker, hands its writer half to the broker, then
@@ -964,52 +461,15 @@ fn worker_session(
     if tx.send(Event::Joined { worker, writer }).is_err() {
         return;
     }
-    // Clean EOF, a torn tail, or a read error ends the session and
-    // reports the worker lost; a CRC-rejected frame is dropped and the
-    // stream stays alive (the dispatch lease re-issues whatever it
-    // carried).
-    loop {
-        let v = match read_frame(&mut conn) {
-            Ok(FrameOutcome::Frame(v)) => v,
-            Ok(FrameOutcome::Corrupt) => continue,
-            _ => break,
-        };
-        match Msg::from_json(&v) {
-            Ok(Msg::Result {
-                id,
-                objectives,
-                resilience,
-                cached,
-            }) => {
-                if cached {
-                    // Observability only: counted at admission so the
-                    // scrape reflects what workers actually served,
-                    // never fed back into vote accounting.
-                    ServeMetrics::add(&metrics.cache_hits, 1);
-                }
-                if tx
-                    .send(Event::Result {
-                        worker,
-                        id,
-                        objectives,
-                        resilience,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Msg::Pong) | Ok(Msg::Ping) => {
-                if tx.send(Event::Pong { worker }).is_err() {
-                    return;
-                }
-            }
-            // A worker has no business sending anything else; treat
-            // a confused peer as lost.
-            _ => break,
+    pump_worker(&mut conn, |event| {
+        if let WorkerEvent::Result { cached: true, .. } = event {
+            // Observability only: counted as frames arrive so the
+            // scrape reflects what workers actually served, never fed
+            // back into vote accounting.
+            ServeMetrics::add(&metrics.cache_hits, 1);
         }
-    }
-    tx.send(Event::Lost { worker }).ok();
+        tx.send(Event::Worker(worker, event)).is_ok()
+    });
 }
 
 #[cfg(test)]
@@ -1023,22 +483,23 @@ mod tests {
             ..BrokerConfig::default()
         };
         cfg.seed = 7;
-        // Standalone reimplementation of `Broker::verifies` semantics:
-        // build no sockets, just check the hash discipline directly.
-        let verifies = |cfg: &BrokerConfig, key: u64| {
-            cfg.verify_fraction > 0.0
-                && uniform(mix(mix(cfg.seed, STREAM_VERIFY), key)) < cfg.verify_fraction
-        };
+        // The selection the broker's round core actually uses; no
+        // sockets needed.
+        let core = RoundCore::new(cfg, 1, Prefill::new());
         let n = 20_000u64;
-        let picked = (0..n).filter(|&k| verifies(&cfg, k)).count();
+        let picked = (0..n).filter(|&k| core.verifies(k)).count();
         let rate = picked as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "verify rate {rate}");
         // Pure: same answer on re-query.
         for k in 0..64 {
-            assert_eq!(verifies(&cfg, k), verifies(&cfg, k));
+            assert_eq!(core.verifies(k), core.verifies(k));
         }
+        // The seed feeds the hash: another campaign verifies other keys.
+        let other = RoundCore::new(BrokerConfig { seed: 8, ..cfg }, 1, Prefill::new());
+        assert!((0..256).any(|k| core.verifies(k) != other.verifies(k)));
         // Off means off.
         cfg.verify_fraction = 0.0;
-        assert!((0..64).all(|k| !verifies(&cfg, k)));
+        let off = RoundCore::new(cfg, 1, Prefill::new());
+        assert!((0..64).all(|k| !off.verifies(k)));
     }
 }

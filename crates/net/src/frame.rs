@@ -75,8 +75,8 @@ pub fn write_frame(w: &mut impl Write, payload: &JsonValue) -> Result<(), AuditE
 /// payload length) is flipped *after* the CRC trailer is computed — the
 /// receiver sees a frame whose checksum fails. This is the chaos
 /// plan's wire-corruption primitive (`chaos::FrameFate::Corrupt`);
-/// nothing outside fault injection (here or in the fleet pool) should
-/// call it.
+/// nothing outside fault injection (`session::send_eval`) should call
+/// it.
 ///
 /// # Errors
 ///

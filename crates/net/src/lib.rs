@@ -15,11 +15,20 @@
 //!   setup payload that lets a worker rebuild the exact fitness
 //!   function ([`audit_core::FitnessSpec::evaluate`]) the broker's GA
 //!   is searching with,
-//! * [`broker`] — the broker side: accepts workers, dispatches
-//!   content-addressed evaluation keys under a bounded in-flight
-//!   window, write-ahead-logs dispatch so a killed broker resumes, and
-//!   merges results **bit-identically** to the in-process path (it is
-//!   an [`audit_core::ga::EvalDispatcher`]),
+//! * [`round`] — the sans-IO round core ([`round::RoundCore`]): one
+//!   campaign's round state and the whole defense stack (content
+//!   addressing, in-flight windows, leases, retry/quarantine,
+//!   cross-validation and eviction, chaos decisions) as events in,
+//!   actions out — the single implementation under both `audit serve`
+//!   and `audit fleet`,
+//! * [`broker`] — the broker side: a thin driver of one round core that
+//!   accepts workers, dispatches content-addressed evaluation keys,
+//!   write-ahead-logs dispatch so a killed broker resumes, and merges
+//!   results **bit-identically** to the in-process path (it is an
+//!   [`audit_core::ga::EvalDispatcher`]),
+//! * [`session`] — serving-side connection plumbing shared with the
+//!   fleet: the accept loop, the worker reader pump, and the
+//!   chaos-aware `eval` write,
 //! * [`worker`] — the worker loop: connect (bounded exponential backoff
 //!   with deterministic jitter), handshake, evaluate, report fitness
 //!   plus resilience-counter deltas, and optionally rejoin after a
@@ -57,6 +66,8 @@ pub mod chaos;
 pub mod frame;
 pub mod metrics;
 pub mod proto;
+pub mod round;
+pub mod session;
 pub mod transport;
 pub mod wal;
 pub mod worker;

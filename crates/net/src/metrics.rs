@@ -6,8 +6,8 @@
 //! a plain-text snapshot and closes the connection. The text is the
 //! conventional line-oriented scrape format (`name{label="x"} value`,
 //! one sample per line, `#`-prefixed comments), so standard collectors
-//! can ingest it with a trivial exporter — and `audit fleet status
-//! --metrics` prints it verbatim.
+//! can ingest it with a trivial exporter — and `audit fleet metrics
+//! --connect ADDR` prints it verbatim.
 //!
 //! Metrics are observability only: no counter here ever feeds back into
 //! scheduling or results, so scraping (or not) cannot perturb a run.
