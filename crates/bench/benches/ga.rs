@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use audit_core::ga::{self, CostFunction, GaConfig, Gene};
+use audit_core::ga::{self, CostFunction, GaConfig, Gene, LocalDispatcher};
 use audit_core::harness::{MeasureSpec, Rig};
+use audit_core::journal::NullSink;
 use audit_core::resonance;
 use audit_cpu::Opcode;
 use audit_stressmark::{manual, Kernel};
@@ -41,11 +42,13 @@ fn bench_mini_ga(c: &mut Criterion) {
                 threads: 1,
                 ..GaConfig::default()
             };
-            let run = ga::evolve(&cfg, &menu, 24, &[], |genome: &[Gene]| {
+            let fitness = |genome: &[Gene]| {
                 let kernel =
                     Kernel::from_sub_blocks("cand", &ga::genome::to_sub_block(genome), 2, 60);
                 cost.score(&rig.measure_aligned(&vec![kernel.to_program(); 2], spec))
-            });
+            };
+            let mut local = LocalDispatcher::new(fitness, cfg.threads);
+            let run = ga::evolve(&cfg, &menu, 24, &[], &mut local, &mut NullSink).unwrap();
             black_box(run.best_fitness)
         });
     });
@@ -77,11 +80,13 @@ fn bench_parallel_eval(c: &mut Criterion) {
         };
         c.bench_function(id, |b| {
             b.iter(|| {
-                let run = ga::evolve(&cfg, &menu, 24, &[], |genome: &[Gene]| {
+                let fitness = |genome: &[Gene]| {
                     let kernel =
                         Kernel::from_sub_blocks("cand", &ga::genome::to_sub_block(genome), 2, 60);
                     cost.score(&rig.measure_aligned(&vec![kernel.to_program(); 2], spec))
-                });
+                };
+                let mut local = LocalDispatcher::new(fitness, cfg.threads);
+                let run = ga::evolve(&cfg, &menu, 24, &[], &mut local, &mut NullSink).unwrap();
                 black_box(run.best_fitness)
             });
         });

@@ -29,8 +29,9 @@
 use std::time::Instant;
 
 use audit_bench::{banner, emit, fast_mode};
-use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
+use audit_core::ga::{self, CostFunction, GaConfig, GaRun, Gene, LocalDispatcher, ObjectiveSet};
 use audit_core::harness::Rig;
+use audit_core::journal::NullSink;
 use audit_core::report::Table;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec};
 use audit_cpu::Opcode;
@@ -164,8 +165,16 @@ fn study(cfg: &GaConfig, spec: &FitnessSpec, rig: &Rig) -> (GaRun, f64) {
         GENOME_LEN,
     )];
     let t0 = Instant::now();
-    let run = ga::evolve(cfg, &Opcode::stress_menu(), GENOME_LEN, &seeds, |g| {
-        spec.evaluate_objectives(rig, g).0
-    });
+    let fitness = |g: &[Gene]| spec.evaluate_objectives(rig, g);
+    let mut local = LocalDispatcher::new(fitness, cfg.threads);
+    let run = ga::evolve(
+        cfg,
+        &Opcode::stress_menu(),
+        GENOME_LEN,
+        &seeds,
+        &mut local,
+        &mut NullSink,
+    )
+    .expect("GA run");
     (run, t0.elapsed().as_secs_f64())
 }

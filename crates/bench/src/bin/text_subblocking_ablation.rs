@@ -12,7 +12,8 @@
 //! higher.
 
 use audit_bench::{banner, emit, fast_mode, rig};
-use audit_core::ga::{self, CostFunction, GaConfig, Gene};
+use audit_core::ga::{self, CostFunction, GaConfig, Gene, LocalDispatcher};
+use audit_core::journal::NullSink;
 use audit_core::report::{mv, Table};
 use audit_core::{resonance, MeasureSpec};
 use audit_stressmark::Kernel;
@@ -58,9 +59,27 @@ fn main() {
         "running hierarchical GA (genome {} slots)…",
         k_cycles * width
     );
-    let hier = ga::evolve(&cfg, &menu, k_cycles * width, &[], fitness_for(s));
+    let mut hier_fitness = LocalDispatcher::new(fitness_for(s), cfg.threads);
+    let hier = ga::evolve(
+        &cfg,
+        &menu,
+        k_cycles * width,
+        &[],
+        &mut hier_fitness,
+        &mut NullSink,
+    )
+    .expect("hierarchical GA run");
     eprintln!("running flat GA (genome {} slots)…", half_cycles * width);
-    let flat = ga::evolve(&cfg, &menu, half_cycles * width, &[], fitness_for(1));
+    let mut flat_fitness = LocalDispatcher::new(fitness_for(1), cfg.threads);
+    let flat = ga::evolve(
+        &cfg,
+        &menu,
+        half_cycles * width,
+        &[],
+        &mut flat_fitness,
+        &mut NullSink,
+    )
+    .expect("flat GA run");
 
     let mut t = Table::new(vec!["generation", "hierarchical best", "flat best"]);
     let gens = hier.history.len().max(flat.history.len());

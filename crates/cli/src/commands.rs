@@ -41,7 +41,7 @@ USAGE:
                    [--save file.prog] [--iterations N] [--fast]
                    [--checkpoint run.ndjson] [--faults SEED:RATES]
                    [--repeat K] [--retries N] [--cycle-budget N]
-                   [--fast-tier-budget N] [--eval-batch N] [--lint-repair]
+                   [--fast-tier-budget N] [--lint-repair]
       Evolve a stressmark; --out writes NASM, --save archives the
       lossless .prog form for later `audit measure --file`.
       --lint-repair re-rolls statically-dead mutations (AUD101/AUD104)
@@ -49,15 +49,14 @@ USAGE:
       journaled, so results stay bit-identical across worker counts
       and kill/--resume. Off by default: journals of unrepaired runs
       keep their exact prior bytes.
-      --workers sets GA evaluation threads (0 = all cores) and
-      --eval-batch co-simulates N genomes per batched sweep; results
-      are bit-identical for any worker count or batch width.
+      --workers sets GA evaluation threads (0 = all cores); results
+      are bit-identical for any worker count.
       --fast-tier-budget N engages the evaluation cascade: each
       generation, an analytic fast tier ranks the candidates and only
       the top N reach the full simulator (0 = off, the default). The
       budget shapes the search, so it is journaled and restored by
       --resume; for a fixed budget, results stay bit-identical across
-      worker counts, batching, and kill/--resume.
+      worker counts and kill/--resume.
       --objective selects the fitness axes and may repeat (or take a
       comma list). One axis is the classic scalar search; two or more
       switch the GA to Pareto mode (NSGA-II non-dominated sort), with
@@ -541,6 +540,7 @@ fn run_distributed(
             &fspec,
             resonance,
             seed_miss_load,
+            &[],
             &mut broker,
             sink,
             ga_resume,

@@ -222,6 +222,7 @@ fn run_campaign_inner(
         &fspec,
         resonance,
         seed_miss_load,
+        &[],
         &mut dispatcher,
         &mut writer,
         ga_resume,

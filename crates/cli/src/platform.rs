@@ -29,7 +29,6 @@ const GENERATE_RESULT_FLAGS: &[&str] = &[
     "--retries",
     "--cycle-budget",
     "--fast-tier-budget",
-    "--eval-batch",
     "--objective",
 ];
 
@@ -202,11 +201,10 @@ pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
 }
 
 /// Generation options from `--fast`, `--seed`, `--cost`, `--workers`,
-/// `--fast-tier-budget`, `--eval-batch`, and `--lint-repair`.
+/// `--fast-tier-budget`, and `--lint-repair`.
 ///
 /// `--workers` sets the GA fitness-evaluation worker count (`0`, the
-/// default, means all available cores) and `--eval-batch` the number of
-/// genomes co-simulated per batched sweep; both affect wall time only,
+/// default, means all available cores); it affects wall time only,
 /// never results. `--fast-tier-budget <n>` engages the evaluation
 /// cascade — at most `n` candidates per generation reach the full
 /// simulator — and *does* shape the search, so it is recorded as a
@@ -240,11 +238,14 @@ pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
             .map_err(|_| ArgError(format!("--fast-tier-budget: cannot parse `{budget}`")))?;
         opts = opts.with_fast_tier_budget(budget);
     }
+    // `--eval-batch` is a hidden no-op that still takes a count of at
+    // least 1: checkpoints and fleet WALs whose `run_start` argv
+    // recorded it must keep resuming.
     if let Some(batch) = args.opt_flag("--eval-batch") {
-        let batch: usize = batch
-            .parse()
-            .map_err(|_| ArgError(format!("--eval-batch: cannot parse `{batch}`")))?;
-        opts = opts.with_eval_batch(batch);
+        match batch.parse::<usize>() {
+            Ok(n) if n >= 1 => {}
+            _ => return Err(ArgError(format!("--eval-batch: cannot parse `{batch}`"))),
+        }
     }
     if args.bool_flag("--lint-repair") {
         opts.ga.lint_repair = true;
@@ -560,25 +561,20 @@ mod tests {
 
     #[test]
     fn cascade_flags_parse_and_round_trip_through_meta() {
-        let args = parse(&["--fast-tier-budget", "6", "--eval-batch", "4"]);
+        let args = parse(&["--fast-tier-budget", "6"]);
         let opts = options_from(&args).unwrap();
         assert_eq!(opts.ga.fast_tier_budget, 6);
-        assert_eq!(opts.eval_batch, 4);
-        // Both flags are journaled, so --resume reconstructs the exact
-        // cascade configuration (the budget shapes the search) and
-        // keeps batching engaged.
+        // The flag is journaled, so --resume reconstructs the exact
+        // cascade configuration (the budget shapes the search).
         let meta = generate_meta(&args);
         let restored = args_from_meta(&meta).unwrap();
         let ropts = options_from(&restored).unwrap();
         assert_eq!(ropts.ga.fast_tier_budget, 6);
-        assert_eq!(ropts.eval_batch, 4);
-        // Defaults: cascade off, unbatched.
+        // Default: cascade off.
         let plain = options_from(&parse(&[])).unwrap();
         assert_eq!(plain.ga.fast_tier_budget, 0);
-        assert_eq!(plain.eval_batch, 1);
-        // Malformed or unrunnable values are rejected with the flag named.
+        // Malformed values are rejected with the flag named.
         assert!(options_from(&parse(&["--fast-tier-budget", "lots"])).is_err());
-        assert!(options_from(&parse(&["--eval-batch", "0"])).is_err());
     }
 
     #[test]

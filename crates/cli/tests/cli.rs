@@ -237,6 +237,86 @@ fn checkpointed_generate_survives_a_kill() {
 }
 
 #[test]
+fn eval_batch_journals_still_resume() {
+    // `--eval-batch` no longer selects anything: it is a hidden no-op so
+    // that checkpoints whose `run_start` argv recorded it still resume.
+    let dir = std::env::temp_dir().join("audit-cli-eval-batch-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.ndjson");
+    let out = audit(&[
+        "generate",
+        "--fast",
+        "--threads",
+        "2",
+        "--seed",
+        "11",
+        "--eval-batch",
+        "4",
+        "--checkpoint",
+        journal.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let full_text = stdout(&out);
+
+    // Record the flag the way older builds journaled it, then cut the
+    // journal after its second generation record.
+    let mut lines: Vec<String> = std::fs::read_to_string(&journal)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert!(!lines[0].contains("--eval-batch"), "{}", lines[0]);
+    lines[0] = lines[0].replacen("\"argv\":[", "\"argv\":[\"--eval-batch\",\"4\",", 1);
+    assert!(lines[0].contains("\"--eval-batch\",\"4\""), "{}", lines[0]);
+    let cut = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.contains("\"generation\""))
+        .map(|(i, _)| i)
+        .nth(1)
+        .expect("at least two generation records");
+    assert!(cut + 1 < lines.len(), "cut must drop something");
+    std::fs::write(&journal, format!("{}\n", lines[..=cut].join("\n"))).unwrap();
+
+    let out = audit(&["generate", "--resume", journal.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+
+    // Same printed result (wall-clock telemetry aside)…
+    let result = |text: &str| -> Vec<String> {
+        text.lines()
+            .skip_while(|l| !l.starts_with("A-Res"))
+            .filter(|l| !l.contains("wall time"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert!(!result(&full_text).is_empty(), "{full_text}");
+    assert_eq!(result(&full_text), result(&stdout(&out)));
+    // …and the same journal, modulo `wall_s`.
+    let strip_wall = |line: &str| -> String {
+        match line.find("\"wall_s\":") {
+            Some(start) => {
+                let rest = &line[start..];
+                let end = rest.find([',', '}']).map_or(line.len(), |e| start + e);
+                format!("{}{}", &line[..start], &line[end..])
+            }
+            None => line.to_string(),
+        }
+    };
+    let resumed: Vec<String> = std::fs::read_to_string(&journal)
+        .unwrap()
+        .lines()
+        .map(strip_wall)
+        .collect();
+    let expected: Vec<String> = lines.iter().map(|l| strip_wall(l)).collect();
+    assert_eq!(resumed, expected);
+
+    // The hidden flag still takes a count of at least one.
+    let out = audit(&["generate", "--fast", "--eval-batch", "0"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("--eval-batch"), "{}", stderr(&out));
+}
+
+#[test]
 fn checkpointed_vmin_search_survives_a_kill() {
     let dir = std::env::temp_dir().join("audit-cli-vmin-test");
     std::fs::create_dir_all(&dir).unwrap();

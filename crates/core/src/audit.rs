@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use crate::ga::{self, CostFunction, GaConfig, GaRun, Gene, Objective, ObjectiveSet, Objectives};
 use crate::harness::{MeasureSpec, Measurement, Rig};
 use crate::journal::{Journal, JournalRecord, JournalSink, NullSink};
-use crate::resilient::{self, MeasurePolicy, ResilienceLog, ResilienceReport};
+use crate::resilient::{self, MeasurePolicy, ResilienceReport};
 use crate::resonance::{self, ResonanceResult};
 
 /// Options for a generation run.
@@ -49,19 +49,6 @@ pub struct AuditOptions {
     /// repeat-median, retry, watchdog). The default no-op policy keeps
     /// the plain measurement path and bit-identical results.
     pub policy: MeasurePolicy,
-    /// Genomes co-simulated per batched sweep of the full simulator
-    /// (`1` = the classic one-genome-at-a-time path). When the
-    /// resilience policy is the no-op default and this is above 1,
-    /// fitness evaluation routes through
-    /// [`Rig::measure_batch`](crate::harness::Rig::measure_batch) via a
-    /// [`ga::BatchLocalDispatcher`]: each worker pops a chunk of this
-    /// many genomes and steps their simulators in lockstep, amortizing
-    /// loop bookkeeping across the chunk. Purely a wall-clock knob —
-    /// lanes are fully independent, so results, journal bytes, and
-    /// cache state are bit-identical to the unbatched path (see
-    /// docs/SIMULATION.md).
-    #[serde(default = "default_eval_batch")]
-    pub eval_batch: usize,
     /// Objective axes the GA optimizes, always evaluated in canonical
     /// droop → power → margin order (see [`ObjectiveSet`]). The default
     /// is the paper's scalar droop objective; selecting more than one
@@ -70,15 +57,6 @@ pub struct AuditOptions {
     /// sync.
     #[serde(default)]
     pub objectives: ObjectiveSet,
-}
-
-/// Serde default for [`AuditOptions::eval_batch`]: options serialized
-/// before the batched path existed deserialize to the classic
-/// one-genome-at-a-time behavior. (Unreferenced under the offline
-/// no-op serde derive stub, hence the allow.)
-#[allow(dead_code)]
-fn default_eval_batch() -> usize {
-    1
 }
 
 impl AuditOptions {
@@ -130,13 +108,6 @@ impl AuditOptions {
                 "excitation quiet region must be at least one cycle",
             ));
         }
-        if self.eval_batch == 0 {
-            return Err(AuditError::invalid(
-                "AuditOptions",
-                "eval_batch",
-                "evaluation batch width must be at least 1 (1 = unbatched)",
-            ));
-        }
         if self.objectives.is_empty() {
             return Err(AuditError::invalid(
                 "AuditOptions",
@@ -168,7 +139,6 @@ impl AuditOptions {
             eval_spec: MeasureSpec::ga_eval(),
             excitation_quiet_cycles: 200,
             policy: MeasurePolicy::disabled(),
-            eval_batch: 1,
             objectives: ObjectiveSet::scalar_droop(),
         }
     }
@@ -189,7 +159,6 @@ impl AuditOptions {
             eval_spec: MeasureSpec::ga_eval(),
             excitation_quiet_cycles: 150,
             policy: MeasurePolicy::disabled(),
-            eval_batch: 1,
             objectives: ObjectiveSet::scalar_droop(),
         }
     }
@@ -219,13 +188,6 @@ impl AuditOptions {
     /// fault schedules are content-addressed per candidate.
     pub fn with_policy(mut self, policy: MeasurePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the batched-evaluation chunk width (`1` = unbatched). Never
-    /// changes results — see [`AuditOptions::eval_batch`].
-    pub fn with_eval_batch(mut self, batch: usize) -> Self {
-        self.eval_batch = batch;
         self
     }
 
@@ -330,13 +292,6 @@ impl AuditOptionsBuilder {
     /// [`MeasurePolicy::validate`] at build.
     pub fn policy(mut self, policy: MeasurePolicy) -> Self {
         self.opts.policy = policy;
-        self
-    }
-
-    /// Sets the batched-evaluation chunk width. Must be at least 1 at
-    /// build (convenience mirror of [`AuditOptions::with_eval_batch`]).
-    pub fn eval_batch(mut self, batch: usize) -> Self {
-        self.opts.eval_batch = batch;
         self
     }
 
@@ -466,9 +421,10 @@ impl Audit {
             .map(|p| ga::genome::from_program(p, genome_len))
             .collect();
         let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
+        let fspec = self.resonant_fitness_spec(threads, resonance.period_cycles);
         let name = format!("A-Res-{threads}T-seeded");
-        self.evolve_kernel_with_seeds(&name, threads, s, lp_slots, resonance, false, &seeds)
+        self.evolve_local(&name, &fspec, resonance, false, &seeds, &mut NullSink, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Generates a first-droop *resonant* stressmark (A-Res family) for
@@ -479,9 +435,10 @@ impl Audit {
     /// Panics if `threads` is zero or exceeds the rig's chip.
     pub fn generate_resonant(&self, threads: usize) -> StressmarkRun {
         let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
+        let fspec = self.resonant_fitness_spec(threads, resonance.period_cycles);
         let name = format!("A-Res-{threads}T");
-        self.evolve_kernel_with(&name, threads, s, lp_slots, resonance, false)
+        self.evolve_local(&name, &fspec, resonance, false, &[], &mut NullSink, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Audit::generate_resonant`], checkpointed to a run journal.
@@ -501,11 +458,9 @@ impl Audit {
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
         let resonance = self.journaled_resonance(threads, sink)?;
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
+        let fspec = self.resonant_fitness_spec(threads, resonance.period_cycles);
         let name = format!("A-Res-{threads}T");
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, false, &[], sink, None,
-        )
+        self.evolve_local(&name, &fspec, resonance, false, &[], sink, None)
     }
 
     /// Resumes a run journaled by [`Audit::generate_resonant_journaled`],
@@ -538,12 +493,10 @@ impl Audit {
             Some(payload) => ResonanceResult::from_json(payload)?,
             None => self.journaled_resonance(threads, sink)?,
         };
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
+        let fspec = self.resonant_fitness_spec(threads, resonance.period_cycles);
         let name = format!("A-Res-{threads}T");
         let resume = journal.last_ga_section().is_some().then_some(journal);
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, false, &[], sink, resume,
-        )
+        self.evolve_local(&name, &fspec, resonance, false, &[], sink, resume)
     }
 
     /// The journaled resonance phase: `phase_start`, the sweep,
@@ -602,9 +555,10 @@ impl Audit {
     /// Panics if `threads` is zero or exceeds the rig's chip.
     pub fn generate_excitation(&self, threads: usize) -> StressmarkRun {
         let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.excitation_shape();
+        let fspec = self.excitation_fitness_spec(threads);
         let name = format!("A-Ex-{threads}T");
-        self.evolve_kernel_with(&name, threads, s, lp_slots, resonance, true)
+        self.evolve_local(&name, &fspec, resonance, true, &[], &mut NullSink, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Audit::generate_excitation`], checkpointed to a run journal —
@@ -620,9 +574,9 @@ impl Audit {
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
         let resonance = self.journaled_resonance(threads, sink)?;
-        let (s, lp_slots) = self.excitation_shape();
+        let fspec = self.excitation_fitness_spec(threads);
         let name = format!("A-Ex-{threads}T");
-        self.evolve_kernel_journaled(&name, threads, s, lp_slots, resonance, true, &[], sink, None)
+        self.evolve_local(&name, &fspec, resonance, true, &[], sink, None)
     }
 
     /// Resumes a run journaled by
@@ -644,12 +598,10 @@ impl Audit {
             Some(payload) => ResonanceResult::from_json(payload)?,
             None => self.journaled_resonance(threads, sink)?,
         };
-        let (s, lp_slots) = self.excitation_shape();
+        let fspec = self.excitation_fitness_spec(threads);
         let name = format!("A-Ex-{threads}T");
         let resume = journal.last_ga_section().is_some().then_some(journal);
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, true, &[], sink, resume,
-        )
+        self.evolve_local(&name, &fspec, resonance, true, &[], sink, resume)
     }
 
     /// Excitation loop shape: a burst of 4 sub-blocks (≈ 24 cycles at
@@ -661,180 +613,69 @@ impl Audit {
         (4, lp_slots)
     }
 
-    fn evolve_kernel_with(
-        &self,
-        name: &str,
-        threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
-        resonance: ResonanceResult,
-        seed_miss_load: bool,
-    ) -> StressmarkRun {
-        self.evolve_kernel_with_seeds(
-            name,
-            threads,
-            sub_blocks,
-            lp_slots,
-            resonance,
-            seed_miss_load,
-            &[],
-        )
-    }
-
+    /// The in-process GA phase: a [`ga::LocalDispatcher`] over
+    /// [`FitnessSpec::evaluate_objectives`] on the configured evaluation
+    /// threads, driven through [`Audit::evolve_dispatched`].
+    ///
+    /// Safe to call from GA worker threads: `measure_aligned` builds
+    /// every piece of mutable simulator state (ChipSim, OsModel, PDN
+    /// transient) fresh inside the call, so concurrent evaluations
+    /// share only `&Rig` immutably.
     #[allow(clippy::too_many_arguments)]
-    fn evolve_kernel_with_seeds(
+    fn evolve_local(
         &self,
         name: &str,
-        threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
-        resonance: ResonanceResult,
-        seed_miss_load: bool,
-        extra_seeds: &[Vec<Gene>],
-    ) -> StressmarkRun {
-        self.evolve_kernel_journaled(
-            name,
-            threads,
-            sub_blocks,
-            lp_slots,
-            resonance,
-            seed_miss_load,
-            extra_seeds,
-            &mut NullSink,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The GA phase shared by plain, journaled, and resumed generation.
-    /// With `resume: Some(journal)`, the journal's recorded GA section
-    /// (config, seeds, generations) takes precedence over `self.opts.ga`
-    /// so the finished run is bit-identical to the one that was killed.
-    #[allow(clippy::too_many_arguments)]
-    fn evolve_kernel_journaled(
-        &self,
-        name: &str,
-        threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
+        fspec: &FitnessSpec,
         resonance: ResonanceResult,
         seed_miss_load: bool,
         extra_seeds: &[Vec<Gene>],
         sink: &mut dyn JournalSink,
         resume: Option<&Journal>,
     ) -> Result<StressmarkRun, AuditError> {
-        if threads == 0 {
-            return Err(AuditError::invalid(
-                "Audit",
-                "threads",
-                "need at least one thread",
-            ));
-        }
-        let menu = self.opcode_menu();
-        let genome_len =
-            self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let fspec = FitnessSpec {
-            threads,
-            sub_blocks,
-            lp_slots,
-            cost: self.opts.cost,
-            spec: self.opts.eval_spec,
-            policy: self.opts.policy,
-            objectives: self.opts.objectives,
-        };
         let rig = &self.rig;
-
-        // Safe to call from GA worker threads: `measure_aligned` builds
-        // every piece of mutable simulator state (ChipSim, OsModel, PDN
-        // transient) fresh inside the call, so concurrent evaluations
-        // share only `&Rig` immutably. The resilience log is a plain
-        // order-insensitive counter behind a mutex.
-        let log = ResilienceLog::default();
-        let fitness = |genome: &[Gene]| {
-            let (objs, delta) = fspec.evaluate_objectives(rig, genome);
-            log.fold(&delta);
-            objs
-        };
-
-        let seeds = self.ga_seeds(genome_len, seed_miss_load, extra_seeds);
-        let ga_run = if self.opts.eval_batch > 1 && self.opts.policy.is_noop() {
-            // Batched hot loop: chunks of genomes share one lockstep
-            // simulator sweep. Bit-identical to the closure path —
-            // `Rig::measure_batch` lanes are fully independent and the
-            // engine merges results in slot order either way.
-            let batch_fitness = |genomes: &[&[Gene]]| {
-                fspec
-                    .evaluate_objectives_batch(rig, genomes)
-                    .into_iter()
-                    .map(|(objs, delta)| {
-                        log.fold(&delta);
-                        objs
-                    })
-                    .collect()
-            };
-            let mut dispatcher = ga::BatchLocalDispatcher::new(
-                batch_fitness,
-                self.opts.eval_batch,
-                ga::resolve_workers(self.opts.ga.threads),
-            );
-            match resume {
-                Some(journal) => GaRun::resume_dispatched(journal, &mut dispatcher, sink)?,
-                None => ga::evolve_journaled_dispatched(
-                    &self.opts.ga,
-                    &menu,
-                    genome_len,
-                    &seeds,
-                    &mut dispatcher,
-                    sink,
-                )?,
-            }
-        } else {
-            match resume {
-                // Resume goes through a dispatcher: the closure here
-                // computes the full objective vector, so pareto
-                // journals resume too (`resume_with_sink` must reject
-                // scalar closures, and cannot see past the generic
-                // return type to know this one is vector-valued).
-                Some(journal) => {
-                    let mut dispatcher = ga::LocalDispatcher::new(
-                        &fitness,
-                        ga::resolve_workers(self.opts.ga.threads),
-                    );
-                    GaRun::resume_dispatched(journal, &mut dispatcher, sink)?
-                }
-                None => {
-                    ga::evolve_journaled(&self.opts.ga, &menu, genome_len, &seeds, fitness, sink)?
-                }
-            }
-        };
-        self.finish_run(name, &fspec, resonance, ga_run, log.snapshot())
+        let fitness = |genome: &[Gene]| fspec.evaluate_objectives(rig, genome);
+        let mut local = ga::LocalDispatcher::new(fitness, self.opts.ga.threads);
+        self.evolve_dispatched(
+            name,
+            fspec,
+            resonance,
+            seed_miss_load,
+            extra_seeds,
+            &mut local,
+            sink,
+            resume,
+        )
     }
 
-    /// The GA phase evaluated through an explicit
-    /// [`ga::EvalDispatcher`] — the distributed counterpart of the
-    /// closure-based path above, driven by the `audit-net` broker. The
-    /// dispatcher's workers must compute
-    /// [`FitnessSpec::evaluate_objectives`] for this exact `fspec`
-    /// (that is what the broker's setup handshake
+    /// The GA phase of every generation run, evaluated through an
+    /// explicit [`ga::EvalDispatcher`]: the in-process
+    /// [`ga::LocalDispatcher`] behind `generate_*`/`resume_*`, or the
+    /// `audit-net` broker and `audit-fleet` pool. A remote dispatcher's
+    /// workers must compute [`FitnessSpec::evaluate_objectives`] for
+    /// this exact `fspec` (that is what the broker's setup handshake
     /// ships them); the engine's slot-ordered merge then makes the
     /// resulting [`StressmarkRun`], journal bytes, and cache state
     /// bit-identical to the in-process run for any worker count.
     ///
     /// `seed_miss_load` selects the excitation seeding (as in
-    /// [`Audit::generate_excitation`]); `resume` replays a journaled
-    /// prefix exactly as [`Audit::resume_resonant`] does.
+    /// [`Audit::generate_excitation`]) and `extra_seeds` joins the
+    /// initial population (as in [`Audit::generate_resonant_seeded`]);
+    /// `resume` replays a journaled prefix exactly as
+    /// [`Audit::resume_resonant`] does. The run's resilience counters
+    /// are the dispatcher's [`ga::EvalDispatcher::resilience`].
     ///
     /// # Errors
     ///
     /// Same as [`Audit::generate_resonant_journaled`], plus any
     /// dispatch error.
-    #[allow(clippy::too_many_arguments)] // mirrors the journaled path's knobs 1:1
+    #[allow(clippy::too_many_arguments)]
     pub fn evolve_dispatched(
         &self,
         name: &str,
         fspec: &FitnessSpec,
         resonance: ResonanceResult,
         seed_miss_load: bool,
+        extra_seeds: &[Vec<Gene>],
         dispatcher: &mut dyn ga::EvalDispatcher,
         sink: &mut dyn JournalSink,
         resume: Option<&Journal>,
@@ -849,17 +690,12 @@ impl Audit {
         let menu = self.opcode_menu();
         let genome_len =
             self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let seeds = self.ga_seeds(genome_len, seed_miss_load, &[]);
         let ga_run = match resume {
-            Some(journal) => GaRun::resume_dispatched(journal, dispatcher, sink)?,
-            None => ga::evolve_journaled_dispatched(
-                &self.opts.ga,
-                &menu,
-                genome_len,
-                &seeds,
-                dispatcher,
-                sink,
-            )?,
+            Some(journal) => GaRun::resume(journal, dispatcher, sink)?,
+            None => {
+                let seeds = self.ga_seeds(genome_len, seed_miss_load, extra_seeds);
+                ga::evolve(&self.opts.ga, &menu, genome_len, &seeds, dispatcher, sink)?
+            }
         };
         let resilience = dispatcher.resilience();
         self.finish_run(name, fspec, resonance, ga_run, resilience)
@@ -869,9 +705,7 @@ impl Audit {
     /// naive high-power pattern (the paper's "initial population …
     /// seeded with existing benchmarks or stressmarks to improve the
     /// convergence rate", §3), any caller-provided extras, and — for
-    /// excitation runs — the missing-load variant. Broker and
-    /// in-process paths share this so their `ga_start` records are
-    /// byte-identical.
+    /// excitation runs — the missing-load variant.
     fn ga_seeds(
         &self,
         genome_len: usize,
@@ -990,10 +824,8 @@ impl Audit {
 /// identical faults).
 ///
 /// [`FitnessSpec::evaluate_objectives`] is *the* fitness function: the
-/// in-process GA closure and the distributed worker both call it, which
-/// is what makes the two paths bit-identical by construction. The
-/// scalar [`FitnessSpec::evaluate`] wrapper survives as a deprecated
-/// 1-objective special case (the vector's primary axis).
+/// in-process GA dispatcher and the distributed worker both call it,
+/// which is what makes the two paths bit-identical by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitnessSpec {
     /// Homogeneous thread count the candidate runs with.
@@ -1087,73 +919,6 @@ impl FitnessSpec {
             (objs, delta)
         }
     }
-
-    /// Scores a chunk of genomes in one lockstep
-    /// [`Rig::measure_batch`] sweep, returning one objective vector per
-    /// genome in order. Each vector is bit-identical to
-    /// [`FitnessSpec::evaluate_objectives`] on that genome alone —
-    /// batching amortizes the hot loop's bookkeeping, never changes
-    /// results.
-    ///
-    /// Falls back to per-genome evaluation when the resilience policy
-    /// is not the no-op default (fault schedules are keyed per
-    /// evaluation, so the batched path would have to replicate the
-    /// retry loop per lane for no gain) or when the chunk has a single
-    /// genome.
-    pub fn evaluate_objectives_batch(
-        &self,
-        rig: &Rig,
-        genomes: &[&[Gene]],
-    ) -> Vec<(Objectives, ResilienceReport)> {
-        if !self.policy.is_noop() || genomes.len() <= 1 {
-            return genomes
-                .iter()
-                .map(|g| self.evaluate_objectives(rig, g))
-                .collect();
-        }
-        let lanes: Vec<Vec<Program>> = genomes
-            .iter()
-            .map(|genome| {
-                let kernel = Kernel::from_sub_blocks(
-                    "candidate",
-                    &ga::genome::to_sub_block(genome),
-                    self.sub_blocks,
-                    self.lp_slots,
-                );
-                vec![kernel.to_program(); self.threads]
-            })
-            .collect();
-        rig.measure_batch(&lanes, self.spec)
-            .iter()
-            .map(|m| (self.objectives_of(rig, m), ResilienceReport::default()))
-            .collect()
-    }
-
-    /// Scores one genome on `rig` as a single scalar — the primary
-    /// (first) axis of [`FitnessSpec::evaluate_objectives`]. With the
-    /// default droop-only objective set this is exactly the historical
-    /// scalar fitness.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `evaluate_objectives`; the scalar fitness is its primary axis"
-    )]
-    pub fn evaluate(&self, rig: &Rig, genome: &[Gene]) -> (f64, ResilienceReport) {
-        let (objs, delta) = self.evaluate_objectives(rig, genome);
-        (objs.primary(), delta)
-    }
-
-    /// Scores a chunk of genomes as scalars — the primary axis of
-    /// [`FitnessSpec::evaluate_objectives_batch`] per genome.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `evaluate_objectives_batch`; the scalar fitness is its primary axis"
-    )]
-    pub fn evaluate_batch(&self, rig: &Rig, genomes: &[&[Gene]]) -> Vec<(f64, ResilienceReport)> {
-        self.evaluate_objectives_batch(rig, genomes)
-            .into_iter()
-            .map(|(objs, delta)| (objs.primary(), delta))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1179,103 +944,6 @@ mod tests {
         );
         assert!(run.name.contains("A-Res"));
         assert!(!run.ga.history.is_empty());
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical_to_unbatched() {
-        let rig = Rig::bulldozer();
-        let mut plain_sink = crate::journal::MemJournal::default();
-        let mut batch_sink = crate::journal::MemJournal::default();
-        let plain = Audit::new(rig.clone(), AuditOptions::fast_demo())
-            .generate_resonant_journaled(2, &mut plain_sink)
-            .unwrap();
-        let batched = Audit::new(rig, AuditOptions::fast_demo().with_eval_batch(3))
-            .generate_resonant_journaled(2, &mut batch_sink)
-            .unwrap();
-        assert_eq!(plain.best_fitness.to_bits(), batched.best_fitness.to_bits());
-        assert_eq!(plain.ga, batched.ga);
-        // Byte-level: the batched run journals the exact same lines,
-        // modulo the wall-clock field (the one legitimately
-        // nondeterministic value in a generation record).
-        let strip_wall = |line: String| -> String {
-            match line.find("\"wall_s\":") {
-                Some(start) => {
-                    let rest = &line[start..];
-                    let end = rest.find(',').map(|e| start + e + 1).unwrap_or(line.len());
-                    format!("{}{}", &line[..start], &line[end..])
-                }
-                None => line,
-            }
-        };
-        let encode = |sink: &crate::journal::MemJournal| -> Vec<String> {
-            sink.records
-                .iter()
-                .map(|r| strip_wall(r.to_json().encode()))
-                .collect()
-        };
-        assert_eq!(encode(&plain_sink), encode(&batch_sink));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_wrappers_pin_the_primary_axis() {
-        // The deprecated scalar API must stay exactly the primary axis
-        // of the objective vector until it is removed — callers
-        // migrating one at a time see bit-identical fitness.
-        use crate::ga::{CostFunction, Gene, ObjectiveSet};
-        use crate::harness::MeasureSpec;
-        use crate::resilient::MeasurePolicy;
-
-        let spec = FitnessSpec {
-            threads: 2,
-            sub_blocks: 2,
-            lp_slots: 2,
-            cost: CostFunction::MaxDroop,
-            spec: MeasureSpec {
-                warmup_cycles: 500,
-                record_cycles: 2_000,
-                settle_cycles: 30_000,
-                ..MeasureSpec::ga_eval()
-            },
-            policy: MeasurePolicy::disabled(),
-            objectives: ObjectiveSet::default(),
-        };
-        let rig = Rig::bulldozer();
-        let genomes: Vec<Vec<Gene>> = (0..3u8)
-            .map(|k| {
-                (0..8u8)
-                    .map(|slot| Gene {
-                        opcode: if slot % 2 == 0 {
-                            Opcode::SimdFma
-                        } else {
-                            Opcode::IAdd
-                        },
-                        dst: (slot + k) % 8,
-                        src1: 12,
-                        src2: 13,
-                        miss: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        for genome in &genomes {
-            let (scalar, _) = spec.evaluate(&rig, genome);
-            let (objs, _) = spec.evaluate_objectives(&rig, genome);
-            assert_eq!(scalar.to_bits(), objs.primary().to_bits());
-        }
-        let refs: Vec<&[Gene]> = genomes.iter().map(Vec::as_slice).collect();
-        let scalars = spec.evaluate_batch(&rig, &refs);
-        let vectors = spec.evaluate_objectives_batch(&rig, &refs);
-        assert_eq!(scalars.len(), vectors.len());
-        for ((s, _), (v, _)) in scalars.iter().zip(&vectors) {
-            assert_eq!(s.to_bits(), v.primary().to_bits());
-        }
-    }
-
-    #[test]
-    fn eval_batch_zero_is_rejected() {
-        let err = AuditOptions::builder().eval_batch(0).build().unwrap_err();
-        assert!(err.to_string().contains("eval_batch"), "{err}");
     }
 
     #[test]

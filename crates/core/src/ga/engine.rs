@@ -47,7 +47,7 @@ use crate::journal::{
     GenerationAnalysis, GenerationRecord, Journal, JournalRecord, JournalSink, NullSink,
     ParetoFrontRecord,
 };
-use crate::resilient::ResilienceReport;
+use crate::resilient::{ResilienceLog, ResilienceReport};
 
 /// GA hyper-parameters.
 ///
@@ -441,82 +441,29 @@ impl GaRun {
     ///
     /// Recorded generations are replayed without re-simulation (scores,
     /// cache state, and best-so-far tracking are reconstructed from the
-    /// journal); evolution then continues live from the next generation.
-    /// `fitness` must be the same deterministic function the original
-    /// run used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuditError::Resume`] if the journal has no GA section
-    /// or its generation records are inconsistent with the recorded
-    /// [`GaConfig`], and any error the underlying search can produce.
-    pub fn resume_from<R: Into<Objectives>>(
-        journal: &Journal,
-        fitness: impl Fn(&[Gene]) -> R + Sync,
-    ) -> Result<GaRun, AuditError> {
-        Self::resume_with_sink(journal, fitness, &mut NullSink)
-    }
-
-    /// [`GaRun::resume_from`], with newly computed generations appended
-    /// to `sink` — pass a [`crate::journal::JournalWriter`] reopened with
+    /// journal); evolution then continues live from the next generation,
+    /// evaluating through `dispatcher` and appending the new records to
+    /// `sink` — pass a [`crate::journal::JournalWriter`] reopened with
     /// [`crate::journal::JournalWriter::resume`] to continue the same
-    /// journal file. Replayed generations are never re-appended.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GaRun::resume_from`], plus any sink I/O error.
-    pub fn resume_with_sink<R: Into<Objectives>>(
-        journal: &Journal,
-        fitness: impl Fn(&[Gene]) -> R + Sync,
-        sink: &mut dyn JournalSink,
-    ) -> Result<GaRun, AuditError> {
-        let section = journal
-            .last_ga_section()
-            .ok_or_else(|| AuditError::resume("journal contains no GA section"))?;
-        // A scalar closure produces 1-axis vectors; resuming a journal
-        // whose fronts carry wider vectors would mix axis counts in the
-        // ranking. Multi-objective runs must resume through
-        // `resume_dispatched` with a dispatcher computing the same
-        // objective vector.
-        if section.cfg.pareto
-            && section
-                .fronts
-                .iter()
-                .any(|f| f.objectives.iter().any(|o| o.len() > 1))
-        {
-            return Err(AuditError::resume(
-                "journal records a multi-objective pareto run; resume it with \
-                 `GaRun::resume_dispatched` and a vector-fitness dispatcher",
-            ));
-        }
-        let mut null = NullSink;
-        // A section already closed by `ga_end` is replay-only: recompute
-        // the result without appending duplicate records.
-        let sink: &mut dyn JournalSink = if section.complete { &mut null } else { sink };
-        let mut dispatcher =
-            LocalDispatcher::new(fitness, resolve_workers(section.cfg.threads));
-        run_ga(
-            section.cfg,
-            section.menu,
-            section.genome_len,
-            section.seeds,
-            &mut dispatcher,
-            sink,
-            &section.generations,
-            &section.fronts,
-        )
-    }
-
-    /// [`GaRun::resume_with_sink`], evaluating through an explicit
-    /// [`EvalDispatcher`] instead of a local fitness closure — the
-    /// resume path of a distributed run (`audit-net` broker). The
+    /// journal file. Replayed generations are never re-appended, and a
+    /// section already closed by `ga_end` appends nothing. The
     /// dispatcher must compute the same deterministic fitness the
-    /// original run used or the replayed prefix will not line up.
+    /// original run used.
+    ///
+    /// A multi-objective Pareto journal is first checked against the
+    /// dispatcher: one recorded genome is re-evaluated, and a vector
+    /// width other than the journal's fails the resume before anything
+    /// is appended (mixing axis counts would corrupt the ranking). That
+    /// probe evaluation counts in [`EvalDispatcher::resilience`].
     ///
     /// # Errors
     ///
-    /// Same as [`GaRun::resume_with_sink`], plus any dispatch error.
-    pub fn resume_dispatched(
+    /// Returns [`AuditError::Resume`] if the journal has no GA section,
+    /// its generation records are inconsistent with the recorded
+    /// [`GaConfig`], or the dispatcher's objective width does not match
+    /// a Pareto journal's; and any error the search, the dispatcher, or
+    /// the sink can produce.
+    pub fn resume(
         journal: &Journal,
         dispatcher: &mut dyn EvalDispatcher,
         sink: &mut dyn JournalSink,
@@ -524,7 +471,12 @@ impl GaRun {
         let section = journal
             .last_ga_section()
             .ok_or_else(|| AuditError::resume("journal contains no GA section"))?;
+        if section.cfg.pareto {
+            check_objective_width(&section.generations, &section.fronts, dispatcher)?;
+        }
         let mut null = NullSink;
+        // A section already closed by `ga_end` is replay-only: recompute
+        // the result without appending duplicate records.
         let sink: &mut dyn JournalSink = if section.complete { &mut null } else { sink };
         run_ga(
             section.cfg,
@@ -537,6 +489,35 @@ impl GaRun {
             &section.fronts,
         )
     }
+}
+
+/// Re-evaluates generation 0's first genome through `dispatcher` and
+/// compares its objective width with the one the journal recorded for
+/// it. A journal cut before its first front has nothing to mix with.
+fn check_objective_width(
+    replay: &[&GenerationRecord],
+    fronts: &[&ParetoFrontRecord],
+    dispatcher: &mut dyn EvalDispatcher,
+) -> Result<(), AuditError> {
+    let recorded = fronts
+        .iter()
+        .find(|f| f.index == 0)
+        .and_then(|f| f.objectives.first());
+    let genome = replay.first().and_then(|g| g.population.first());
+    let (Some(genome), Some(recorded)) = (genome, recorded) else {
+        return Ok(());
+    };
+    let probe = dispatcher.evaluate(std::slice::from_ref(genome), &[0])?;
+    let width = probe.first().map_or(0, |(_, objectives)| objectives.len());
+    if width != recorded.len() {
+        return Err(AuditError::resume(format!(
+            "journal records a {}-objective pareto run, but the dispatcher returns \
+             {width}-axis vectors; resume it with a dispatcher computing the same \
+             objective vector",
+            recorded.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Evaluates one generation's cache misses, wherever the compute lives.
@@ -583,38 +564,76 @@ pub trait EvalDispatcher {
     }
 }
 
-/// The in-process [`EvalDispatcher`]: a `std::thread::scope` work queue
-/// over a fitness closure — exactly the engine's historical evaluation
-/// path, now behind the trait so local and distributed runs share one
-/// merge discipline.
-///
-/// The closure may return any type converting [`Into<Objectives>`]: the
-/// historical `f64` scalar (the 1-axis special case) or a full
-/// [`Objectives`] vector for Pareto runs.
-pub struct LocalDispatcher<F> {
-    fitness: F,
-    workers: usize,
+/// What a [`LocalDispatcher`] fitness closure may return: a scalar
+/// (`f64`, the 1-axis special case), a full [`Objectives`] vector for
+/// Pareto runs, or a vector paired with the [`ResilienceReport`] delta
+/// its evaluation contributed (what
+/// [`FitnessSpec::evaluate_objectives`](crate::audit::FitnessSpec::evaluate_objectives)
+/// returns).
+pub trait Scored {
+    /// Splits the score into its objective vector and resilience delta
+    /// (all zeros for the plain scalar and vector forms).
+    fn into_scored(self) -> (Objectives, ResilienceReport);
 }
 
-impl<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync> LocalDispatcher<F> {
-    /// Wraps `fitness` with a concrete worker count (see
-    /// [`resolve_workers`]).
-    pub fn new(fitness: F, workers: usize) -> Self {
-        LocalDispatcher { fitness, workers }
+impl Scored for f64 {
+    fn into_scored(self) -> (Objectives, ResilienceReport) {
+        (Objectives::scalar(self), ResilienceReport::default())
     }
 }
 
-impl<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync> EvalDispatcher for LocalDispatcher<F> {
+impl Scored for Objectives {
+    fn into_scored(self) -> (Objectives, ResilienceReport) {
+        (self, ResilienceReport::default())
+    }
+}
+
+impl Scored for (Objectives, ResilienceReport) {
+    fn into_scored(self) -> (Objectives, ResilienceReport) {
+        self
+    }
+}
+
+/// The in-process [`EvalDispatcher`]: a `std::thread::scope` work queue
+/// over a fitness closure, behind the same trait as the distributed
+/// broker so local and remote runs share one merge discipline.
+///
+/// The closure may return anything [`Scored`]; resilience deltas are
+/// folded into a [`ResilienceLog`] reported through
+/// [`EvalDispatcher::resilience`], exactly as the broker folds the
+/// deltas its workers report.
+pub struct LocalDispatcher<F> {
+    fitness: F,
+    workers: usize,
+    log: ResilienceLog,
+}
+
+impl<R: Scored, F: Fn(&[Gene]) -> R + Sync> LocalDispatcher<F> {
+    /// Wraps `fitness` with `threads` evaluation workers (`0` = all
+    /// available cores). The thread count never changes results.
+    pub fn new(fitness: F, threads: usize) -> Self {
+        LocalDispatcher {
+            fitness,
+            workers: resolve_workers(threads),
+            log: ResilienceLog::default(),
+        }
+    }
+}
+
+impl<R: Scored, F: Fn(&[Gene]) -> R + Sync> EvalDispatcher for LocalDispatcher<F> {
     fn evaluate(
         &mut self,
         population: &[Vec<Gene>],
         jobs: &[usize],
     ) -> Result<Vec<(usize, Objectives)>, AuditError> {
-        let fitness = &self.fitness;
+        let (fitness, log) = (&self.fitness, &self.log);
+        let score = |slot: usize| {
+            let (objectives, delta) = fitness(&population[slot]).into_scored();
+            log.fold(&delta);
+            (slot, objectives)
+        };
         Ok(if self.workers <= 1 || jobs.len() <= 1 {
-            jobs.iter()
-                .map(|&slot| (slot, fitness(&population[slot]).into()))
-                .collect()
+            jobs.iter().map(|&slot| score(slot)).collect()
         } else {
             let queue = AtomicUsize::new(0);
             std::thread::scope(|s| {
@@ -625,7 +644,7 @@ impl<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync> EvalDispatcher for LocalDi
                             loop {
                                 let k = queue.fetch_add(1, Ordering::Relaxed);
                                 let Some(&slot) = jobs.get(k) else { break };
-                                out.push((slot, fitness(&population[slot]).into()));
+                                out.push(score(slot));
                             }
                             out
                         })
@@ -642,191 +661,76 @@ impl<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync> EvalDispatcher for LocalDi
     fn workers(&self) -> usize {
         self.workers
     }
-}
 
-/// The batched in-process [`EvalDispatcher`]: pops fixed-width chunks of
-/// jobs off the same atomic work queue [`LocalDispatcher`] uses, and
-/// hands each chunk to a *batch* fitness closure (`&[&[Gene]] ->
-/// Vec<R>` with `R: Into<Objectives>`, one score per genome, in
-/// order). The closure is expected
-/// to amortize per-evaluation overhead across the chunk — the audit
-/// fitness function routes it through the structure-of-arrays
-/// `Rig::measure_batch` sweep (docs/SIMULATION.md).
-///
-/// Chunking is a scheduling detail, never a results knob: each score is
-/// required to be the same deterministic function of its genome alone,
-/// so any chunk width and any worker count produce bit-identical runs —
-/// the same contract every other dispatcher honors.
-pub struct BatchLocalDispatcher<F> {
-    fitness: F,
-    batch: usize,
-    workers: usize,
-}
-
-impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> BatchLocalDispatcher<F> {
-    /// Wraps a batch fitness closure with a chunk width (`batch`,
-    /// clamped to at least 1) and a concrete worker count (see
-    /// [`resolve_workers`]).
-    pub fn new(fitness: F, batch: usize, workers: usize) -> Self {
-        BatchLocalDispatcher {
-            fitness,
-            batch: batch.max(1),
-            workers,
-        }
-    }
-}
-
-impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> EvalDispatcher
-    for BatchLocalDispatcher<F>
-{
-    fn evaluate(
-        &mut self,
-        population: &[Vec<Gene>],
-        jobs: &[usize],
-    ) -> Result<Vec<(usize, Objectives)>, AuditError> {
-        let fitness = &self.fitness;
-        let run_chunk = |chunk: &[usize]| -> Vec<(usize, Objectives)> {
-            let genomes: Vec<&[Gene]> = chunk
-                .iter()
-                .map(|&slot| population[slot].as_slice())
-                .collect();
-            let scores = fitness(&genomes);
-            assert_eq!(
-                scores.len(),
-                chunk.len(),
-                "batch fitness returned {} scores for {} genomes",
-                scores.len(),
-                chunk.len()
-            );
-            chunk
-                .iter()
-                .copied()
-                .zip(scores.into_iter().map(Into::into))
-                .collect()
-        };
-        let chunks: Vec<&[usize]> = jobs.chunks(self.batch).collect();
-        Ok(if self.workers <= 1 || chunks.len() <= 1 {
-            chunks.into_iter().flat_map(run_chunk).collect()
-        } else {
-            let queue = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..self.workers.min(chunks.len()))
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out: Vec<(usize, Objectives)> = Vec::new();
-                            loop {
-                                let k = queue.fetch_add(1, Ordering::Relaxed);
-                                let Some(&chunk) = chunks.get(k) else { break };
-                                out.extend(run_chunk(chunk));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("batch fitness worker panicked"))
-                    .collect()
-            })
-        })
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
+    fn resilience(&self) -> ResilienceReport {
+        self.log.snapshot()
     }
 }
 
 /// Evolves genomes of `genome_len` slots over the opcode `menu`,
-/// maximizing `fitness`. Optionally accepts `seeds`: existing genomes
-/// injected into the initial population (the paper's "seeded with
-/// existing benchmarks or stressmarks to improve the convergence rate").
+/// maximizing the fitness `dispatcher` computes, with every generation
+/// checkpointed to `sink` (pass [`NullSink`] to keep nothing).
+/// Optionally accepts `seeds`: existing genomes injected into the
+/// initial population (the paper's "seeded with existing benchmarks or
+/// stressmarks to improve the convergence rate").
 ///
-/// `fitness` must be deterministic per genome and is called from
-/// `cfg.threads` worker threads (`0` = all cores); it only needs `Sync`,
-/// not `Clone` — per-evaluation state such as [`crate::harness::Rig`]
-/// simulators is constructed inside the call, never shared.
+/// After validation, appends a `ga_start` record (config, menu, seeds —
+/// everything needed to resume) and the budget markers, then one
+/// `generation` record per evaluated generation and a final `ga_end`.
+/// A run killed between appends is resumable via [`GaRun::resume`]
+/// with a bit-identical final result.
+///
+/// The fitness must be deterministic per genome. In-process runs wrap a
+/// closure in a [`LocalDispatcher`], which calls it from `cfg.threads`
+/// worker threads; it only needs `Sync`, not `Clone` — per-evaluation
+/// state such as [`crate::harness::Rig`] simulators is constructed
+/// inside the call, never shared.
+///
+/// # Example
+///
+/// ```
+/// use audit_core::ga::{evolve, GaConfig, Gene, LocalDispatcher};
+/// use audit_core::journal::NullSink;
+/// use audit_cpu::Opcode;
+///
+/// // A toy objective: count FMA slots.
+/// let fma = |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64;
+/// let cfg = GaConfig { population: 8, generations: 5, ..GaConfig::default() };
+/// let mut local = LocalDispatcher::new(fma, cfg.threads);
+/// let run = evolve(&cfg, &Opcode::stress_menu(), 6, &[], &mut local, &mut NullSink).unwrap();
+/// assert!(run.best_fitness >= 1.0);
+/// ```
+///
+/// Runs are bit-identical regardless of the worker count — the
+/// determinism contract in the [module docs](self):
+///
+/// ```
+/// use audit_core::ga::{evolve, GaConfig, Gene, LocalDispatcher};
+/// use audit_core::journal::NullSink;
+/// use audit_cpu::Opcode;
+///
+/// let menu = Opcode::stress_menu();
+/// let fitness = |g: &[Gene]| {
+///     g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64
+/// };
+/// let cfg = GaConfig { population: 6, generations: 3, ..GaConfig::default() };
+/// let mut seq = LocalDispatcher::new(&fitness, 1);
+/// let mut par = LocalDispatcher::new(&fitness, 4);
+/// let a = evolve(&cfg, &menu, 4, &[], &mut seq, &mut NullSink).unwrap();
+/// let b = evolve(&cfg, &menu, 4, &[], &mut par, &mut NullSink).unwrap();
+/// assert_eq!(a, b); // same best, best_fitness, and history
+/// ```
 ///
 /// # Errors
 ///
 /// Returns [`AuditError::InvalidConfig`] for an unrunnable
 /// configuration ([`GaConfig::validate`]), an empty menu, or a zero
-/// genome length.
-pub fn try_evolve<R: Into<Objectives>>(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> R + Sync,
-) -> Result<GaRun, AuditError> {
-    let mut dispatcher = LocalDispatcher::new(fitness, resolve_workers(cfg.threads));
-    run_ga(
-        cfg,
-        menu,
-        genome_len,
-        seeds,
-        &mut dispatcher,
-        &mut NullSink,
-        &[],
-        &[],
-    )
-}
-
-/// [`try_evolve`], evaluating through an explicit [`EvalDispatcher`]
-/// instead of a local fitness closure — the entry point a distributed
-/// broker (`audit-net`) drives. Results are bit-identical to the local
-/// path for any conforming dispatcher.
+/// genome length, and any dispatch or sink error.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Same as [`try_evolve`], plus any dispatch error.
-pub fn try_evolve_dispatched(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    dispatcher: &mut dyn EvalDispatcher,
-) -> Result<GaRun, AuditError> {
-    run_ga(
-        cfg,
-        menu,
-        genome_len,
-        seeds,
-        dispatcher,
-        &mut NullSink,
-        &[],
-        &[],
-    )
-}
-
-/// [`try_evolve`], with every generation checkpointed to `sink`.
-///
-/// Appends a `ga_start` record (config, menu, seeds — everything needed
-/// to resume), then one `generation` record per evaluated generation and
-/// a final `ga_end`. A run killed between appends is resumable via
-/// [`GaRun::resume_from`] with a bit-identical final result.
-///
-/// # Errors
-///
-/// Same as [`try_evolve`], plus any sink I/O error.
-pub fn evolve_journaled<R: Into<Objectives>>(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> R + Sync,
-    sink: &mut dyn JournalSink,
-) -> Result<GaRun, AuditError> {
-    let mut dispatcher = LocalDispatcher::new(fitness, resolve_workers(cfg.threads));
-    evolve_journaled_dispatched(cfg, menu, genome_len, seeds, &mut dispatcher, sink)
-}
-
-/// [`evolve_journaled`], evaluating through an explicit
-/// [`EvalDispatcher`] — see [`try_evolve_dispatched`].
-///
-/// # Errors
-///
-/// Same as [`evolve_journaled`], plus any dispatch error.
-pub fn evolve_journaled_dispatched(
+/// Panics if a [`LocalDispatcher`] fitness worker panics.
+pub fn evolve(
     cfg: &GaConfig,
     menu: &[Opcode],
     genome_len: usize,
@@ -861,56 +765,6 @@ pub fn evolve_journaled_dispatched(
     run_ga(cfg, menu, genome_len, seeds, dispatcher, sink, &[], &[])
 }
 
-/// Panicking convenience wrapper around [`try_evolve`] for callers that
-/// treat an invalid configuration as a bug.
-///
-/// # Example
-///
-/// ```
-/// use audit_core::ga::{evolve, GaConfig, Gene};
-/// use audit_cpu::Opcode;
-///
-/// // A toy objective: count FMA slots.
-/// let cfg = GaConfig { population: 8, generations: 5, ..GaConfig::default() };
-/// let run = evolve(&cfg, &Opcode::stress_menu(), 6, &[], |g: &[Gene]| {
-///     g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64
-/// });
-/// assert!(run.best_fitness >= 1.0);
-/// ```
-///
-/// Runs are bit-identical regardless of the worker count — the
-/// determinism contract in the [module docs](self):
-///
-/// ```
-/// use audit_core::ga::{evolve, GaConfig, Gene};
-/// use audit_cpu::Opcode;
-///
-/// let menu = Opcode::stress_menu();
-/// let fitness = |g: &[Gene]| {
-///     g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64
-/// };
-/// let seq = GaConfig { population: 6, generations: 3, threads: 1, ..GaConfig::default() };
-/// let par = GaConfig { threads: 4, ..seq.clone() };
-/// let a = evolve(&seq, &menu, 4, &[], &fitness);
-/// let b = evolve(&par, &menu, 4, &[], &fitness);
-/// assert_eq!(a, b); // same best, best_fitness, and history
-/// ```
-///
-/// # Panics
-///
-/// Panics on any error [`try_evolve`] would return (e.g. a population
-/// smaller than 2, an empty menu, a zero genome length), or if a
-/// fitness worker panics.
-pub fn evolve<R: Into<Objectives>>(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> R + Sync,
-) -> GaRun {
-    try_evolve(cfg, menu, genome_len, seeds, fitness).unwrap_or_else(|e| panic!("{e}"))
-}
-
 fn validate_search(menu: &[Opcode], genome_len: usize) -> Result<(), AuditError> {
     if menu.is_empty() {
         return Err(AuditError::invalid(
@@ -929,8 +783,8 @@ fn validate_search(menu: &[Opcode], genome_len: usize) -> Result<(), AuditError>
     Ok(())
 }
 
-/// The engine proper, shared by fresh ([`try_evolve`]) and resumed
-/// ([`GaRun::resume_from`]) runs: `replay` holds the journaled
+/// The engine proper, shared by fresh ([`evolve`]) and resumed
+/// ([`GaRun::resume`]) runs: `replay` holds the journaled
 /// generations to reconstruct before evolution continues live, and
 /// `fronts` the journaled `pareto_front` records that carry their full
 /// objective vectors (empty for scalar runs).
@@ -1328,7 +1182,7 @@ fn replay_into_cache(cache: &mut EvalCache, rec: &GenerationRecord, objs: &[Obje
 }
 
 /// Resolves the configured thread knob to a concrete worker count.
-pub fn resolve_workers(threads: usize) -> usize {
+fn resolve_workers(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1517,6 +1371,28 @@ mod tests {
     use crate::journal::MemJournal;
     use std::sync::atomic::AtomicU64;
 
+    /// [`evolve`] over a closure fitness on `cfg.threads` local workers.
+    fn evolve_with<R: Scored>(
+        cfg: &GaConfig,
+        menu: &[Opcode],
+        genome_len: usize,
+        seeds: &[Vec<Gene>],
+        fitness: impl Fn(&[Gene]) -> R + Sync,
+        sink: &mut dyn JournalSink,
+    ) -> Result<GaRun, AuditError> {
+        let mut local = LocalDispatcher::new(fitness, cfg.threads);
+        evolve(cfg, menu, genome_len, seeds, &mut local, sink)
+    }
+
+    /// [`GaRun::resume`] over a closure fitness.
+    fn resume_with<R: Scored>(
+        journal: &Journal,
+        fitness: impl Fn(&[Gene]) -> R + Sync,
+        sink: &mut dyn JournalSink,
+    ) -> Result<GaRun, AuditError> {
+        GaRun::resume(journal, &mut LocalDispatcher::new(fitness, 1), sink)
+    }
+
     fn menu() -> Vec<Opcode> {
         Opcode::stress_menu()
     }
@@ -1548,7 +1424,7 @@ mod tests {
             stall_generations: 60,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 12, &[], fma_count);
+        let run = evolve_with(&cfg, &menu(), 12, &[], fma_count, &mut NullSink).unwrap();
         assert!(run.best_fitness >= 6.0, "best {}", run.best_fitness);
         assert!(
             run.history.last().unwrap() > run.history.first().unwrap(),
@@ -1563,7 +1439,7 @@ mod tests {
             generations: 20,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[], fma_count);
+        let run = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         assert!(
             run.history.windows(2).all(|w| w[1] >= w[0]),
             "{:?}",
@@ -1580,7 +1456,7 @@ mod tests {
             stall_generations: 4,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[], |_| 1.0);
+        let run = evolve_with(&cfg, &menu(), 8, &[], |_| 1.0, &mut NullSink).unwrap();
         assert_eq!(run.generations_run, 4);
     }
 
@@ -1591,11 +1467,11 @@ mod tests {
             generations: 10,
             ..GaConfig::default()
         };
-        let a = evolve(&cfg, &menu(), 8, &[], fma_count);
-        let b = evolve(&cfg, &menu(), 8, &[], fma_count);
+        let a = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
+        let b = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         assert_eq!(a, b);
         let other = GaConfig { seed: 999, ..cfg };
-        let c = evolve(&other, &menu(), 8, &[], fma_count);
+        let c = evolve_with(&other, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         assert_ne!(a.best, c.best);
     }
 
@@ -1610,13 +1486,13 @@ mod tests {
             threads: 1,
             ..GaConfig::default()
         };
-        let sequential = evolve(&base, &menu(), 10, &[], fma_count);
+        let sequential = evolve_with(&base, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
         for threads in [2, 4, 7] {
             let cfg = GaConfig {
                 threads,
                 ..base.clone()
             };
-            let parallel = evolve(&cfg, &menu(), 10, &[], fma_count);
+            let parallel = evolve_with(&cfg, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
             assert_eq!(sequential, parallel, "diverged at {threads} threads");
             assert_eq!(sequential.history, parallel.history);
             assert_eq!(sequential.best, parallel.best);
@@ -1636,14 +1512,14 @@ mod tests {
             surrogate_rank: false,
             ..GaConfig::default()
         };
-        let baseline = evolve(&plain, &menu(), 10, &[], fma_count);
+        let baseline = evolve_with(&plain, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
         for threads in [1, 3, 6] {
             let cfg = GaConfig {
                 threads,
                 surrogate_rank: true,
                 ..plain.clone()
             };
-            let ranked = evolve(&cfg, &menu(), 10, &[], fma_count);
+            let ranked = evolve_with(&cfg, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
             assert_eq!(baseline, ranked, "diverged at {threads} threads");
             assert_eq!(baseline.evaluations, ranked.evaluations);
             assert_eq!(baseline.cache_hits, ranked.cache_hits);
@@ -1661,8 +1537,8 @@ mod tests {
             stall_generations: 20,
             ..GaConfig::default()
         };
-        let off = evolve(&base, &menu(), 8, &[], fma_count);
-        let on = evolve(
+        let off = evolve_with(&base, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
+        let on = evolve_with(
             &GaConfig {
                 surrogate_rank: true,
                 ..base
@@ -1671,7 +1547,9 @@ mod tests {
             8,
             &[],
             fma_count,
-        );
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(off.evaluations, on.evaluations);
     }
 
@@ -1685,8 +1563,8 @@ mod tests {
             stall_generations: 8,
             ..GaConfig::default()
         };
-        let off = evolve(&base, &menu(), 8, &[], fma_count);
-        let on = evolve(
+        let off = evolve_with(&base, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
+        let on = evolve_with(
             &GaConfig {
                 surrogate_budget: base.population,
                 ..base
@@ -1695,7 +1573,9 @@ mod tests {
             8,
             &[],
             fma_count,
-        );
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(off, on);
         assert_eq!(off.evaluations, on.evaluations);
     }
@@ -1710,7 +1590,7 @@ mod tests {
             surrogate_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
 
         let mut saw_marker = false;
         let mut saw_deferred = false;
@@ -1750,7 +1630,7 @@ mod tests {
             surrogate_budget: 4,
             ..GaConfig::default()
         };
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
 
         // Cut the journal right after the second generation record, as a
         // crash would.
@@ -1766,7 +1646,7 @@ mod tests {
             }
         }
         let journal = crate::journal::Journal { records: prefix };
-        let resumed = GaRun::resume_from(&journal, fma_count).unwrap();
+        let resumed = resume_with(&journal, fma_count, &mut NullSink).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.history, resumed.history);
     }
@@ -1784,8 +1664,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let off = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let zero = evolve_journaled(
+        let off = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
+        let zero = evolve_with(
             &GaConfig {
                 fast_tier_budget: 0,
                 ..cfg
@@ -1830,8 +1710,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let off = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let explicit = evolve_journaled(
+        let off = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
+        let explicit = evolve_with(
             &GaConfig {
                 lint_repair: false,
                 ..cfg
@@ -1874,7 +1754,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(&cfg, &menu(), 10, &[], fma_count, &mut mem).unwrap();
+        evolve_with(&cfg, &menu(), 10, &[], fma_count, &mut mem).unwrap();
 
         let mut pending_repair: Option<usize> = None;
         let mut total_rerolls = 0u64;
@@ -1921,9 +1801,17 @@ mod tests {
             threads: 1,
             ..GaConfig::default()
         };
-        let one = evolve(&base, &menu(), 8, &[], fma_count);
+        let one = evolve_with(&base, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         for threads in [2, 4] {
-            let n = evolve(&GaConfig { threads, ..base }, &menu(), 8, &[], fma_count);
+            let n = evolve_with(
+                &GaConfig { threads, ..base },
+                &menu(),
+                8,
+                &[],
+                fma_count,
+                &mut NullSink,
+            )
+            .unwrap();
             assert_eq!(one, n, "diverged at {threads} threads");
         }
     }
@@ -1938,7 +1826,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
 
         // Kill right after each generation record (the repair marker
         // rides ahead of it, so every cut keeps matched pairs); resume
@@ -1955,7 +1843,7 @@ mod tests {
                 records: mem.records[..cut].to_vec(),
             };
             let journal = partial.as_journal();
-            let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut partial).unwrap();
+            let resumed = resume_with(&journal, fma_count, &mut partial).unwrap();
             assert_eq!(full, resumed, "diverged when cut at record {cut}");
             assert_eq!(
                 mem.records, partial.records,
@@ -1975,8 +1863,8 @@ mod tests {
             stall_generations: 8,
             ..GaConfig::default()
         };
-        let off = evolve(&base, &menu(), 8, &[], fma_count);
-        let on = evolve(
+        let off = evolve_with(&base, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
+        let on = evolve_with(
             &GaConfig {
                 fast_tier_budget: base.population,
                 ..base
@@ -1985,7 +1873,9 @@ mod tests {
             8,
             &[],
             fma_count,
-        );
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(off, on);
         assert_eq!(off.evaluations, on.evaluations);
     }
@@ -2000,7 +1890,7 @@ mod tests {
             fast_tier_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
 
         let mut saw_marker = false;
         let mut saw_deferred = false;
@@ -2040,13 +1930,13 @@ mod tests {
             threads: 1,
             ..GaConfig::default()
         };
-        let sequential = evolve(&base, &menu(), 10, &[], fma_count);
+        let sequential = evolve_with(&base, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
         for threads in [2, 4] {
             let cfg = GaConfig {
                 threads,
                 ..base.clone()
             };
-            let parallel = evolve(&cfg, &menu(), 10, &[], fma_count);
+            let parallel = evolve_with(&cfg, &menu(), 10, &[], fma_count, &mut NullSink).unwrap();
             assert_eq!(sequential, parallel, "diverged at {threads} threads");
         }
     }
@@ -2066,7 +1956,7 @@ mod tests {
             fast_tier_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
         let mut executed_total = 0;
         for rec in &mem.records {
             if let JournalRecord::Generation(g) = rec {
@@ -2097,7 +1987,7 @@ mod tests {
             fast_tier_budget: 4,
             ..GaConfig::default()
         };
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
 
         let mut prefix = Vec::new();
         let mut gens = 0;
@@ -2111,7 +2001,7 @@ mod tests {
             }
         }
         let journal = crate::journal::Journal { records: prefix };
-        let resumed = GaRun::resume_from(&journal, fma_count).unwrap();
+        let resumed = resume_with(&journal, fma_count, &mut NullSink).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.history, resumed.history);
     }
@@ -2134,29 +2024,9 @@ mod tests {
             fast_tier_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[], counted);
+        let run = evolve_with(&cfg, &menu(), 8, &[], counted, &mut NullSink).unwrap();
         assert_eq!(run.evaluations, calls.load(Ordering::Relaxed));
         assert_eq!(run.best_fitness, fma_count(&run.best));
-    }
-
-    #[test]
-    fn batch_dispatcher_is_bit_identical_to_local() {
-        // Chunk width is a scheduling knob: any batch size and worker
-        // count must reproduce the LocalDispatcher run exactly.
-        let cfg = GaConfig {
-            population: 12,
-            generations: 10,
-            stall_generations: 10,
-            ..GaConfig::default()
-        };
-        let baseline = evolve(&cfg, &menu(), 10, &[], fma_count);
-        for (batch, workers) in [(2, 1), (3, 2), (5, 4), (64, 2)] {
-            let batch_fitness =
-                |genomes: &[&[Gene]]| genomes.iter().map(|g| fma_count(g)).collect::<Vec<f64>>();
-            let mut dispatcher = BatchLocalDispatcher::new(batch_fitness, batch, workers);
-            let run = try_evolve_dispatched(&cfg, &menu(), 10, &[], &mut dispatcher).unwrap();
-            assert_eq!(baseline, run, "diverged at batch {batch} workers {workers}");
-        }
     }
 
     #[test]
@@ -2168,7 +2038,7 @@ mod tests {
             stall_generations: 3,
             ..GaConfig::default()
         };
-        evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
         let gens: Vec<_> = mem
             .records
             .iter()
@@ -2197,8 +2067,8 @@ mod tests {
             cache_capacity: 0,
             ..cached.clone()
         };
-        let a = evolve(&cached, &menu(), 8, &[], fma_count);
-        let b = evolve(&uncached, &menu(), 8, &[], fma_count);
+        let a = evolve_with(&cached, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
+        let b = evolve_with(&uncached, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         // Same search outcome…
         assert_eq!(a.best, b.best);
         assert_eq!(a.best_fitness, b.best_fitness);
@@ -2226,10 +2096,11 @@ mod tests {
             stall_generations: 8,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[], |g: &[Gene]| {
+        let counted = |g: &[Gene]| {
             calls.fetch_add(1, Ordering::Relaxed);
             fma_count(g)
-        });
+        };
+        let run = evolve_with(&cfg, &menu(), 8, &[], counted, &mut NullSink).unwrap();
         let lookups = (cfg.generations as u64 + 1) * cfg.population as u64;
         assert_eq!(calls.load(Ordering::Relaxed), run.evaluations);
         assert_eq!(run.evaluations + run.cache_hits, lookups);
@@ -2247,7 +2118,7 @@ mod tests {
             stall_generations: 100,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[], fma_count);
+        let run = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
         // 6 generations × 10 lookups, split between real simulations and
         // memo hits; at least the 2 elites hit per post-initial generation.
         assert_eq!(run.evaluations + run.cache_hits, 10 * 6);
@@ -2315,7 +2186,7 @@ mod tests {
             generations: 0,
             ..GaConfig::default()
         };
-        let run = evolve(&cfg, &menu(), 8, &[perfect], fma_count);
+        let run = evolve_with(&cfg, &menu(), 8, &[perfect], fma_count, &mut NullSink).unwrap();
         assert_eq!(run.best_fitness, 8.0);
         assert_eq!(run.generations_run, 0);
     }
@@ -2327,7 +2198,7 @@ mod tests {
             population: 1,
             ..GaConfig::default()
         };
-        let _ = evolve(&cfg, &menu(), 8, &[], fma_count);
+        let _ = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut NullSink).unwrap();
     }
 
     #[test]
@@ -2357,7 +2228,7 @@ mod tests {
         for cfg in &bad {
             let err = cfg.validate().unwrap_err();
             assert!(matches!(err, AuditError::InvalidConfig { .. }), "{err}");
-            let run = try_evolve(cfg, &menu(), 8, &[], fma_count);
+            let run = evolve_with(cfg, &menu(), 8, &[], fma_count, &mut NullSink);
             assert!(run.is_err());
         }
         assert!(GaConfig::default().validate().is_ok());
@@ -2366,9 +2237,9 @@ mod tests {
     #[test]
     fn try_evolve_rejects_degenerate_searches() {
         let cfg = GaConfig::default();
-        let err = try_evolve(&cfg, &[], 8, &[], fma_count).unwrap_err();
+        let err = evolve_with(&cfg, &[], 8, &[], fma_count, &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("menu"), "{err}");
-        let err = try_evolve(&cfg, &menu(), 0, &[], fma_count).unwrap_err();
+        let err = evolve_with(&cfg, &menu(), 0, &[], fma_count, &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("genome"), "{err}");
     }
 
@@ -2391,10 +2262,9 @@ mod tests {
             stall_generations: 6,
             ..GaConfig::default()
         };
-        let plain = evolve(&cfg, &menu(), 6, &[], fma_count);
+        let plain = evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut NullSink).unwrap();
         let mut mem = MemJournal::default();
-        let journaled =
-            evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let journaled = evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
         assert_eq!(plain, journaled);
         // ga_start + one record per generation (incl. gen 0) + ga_end.
         assert_eq!(
@@ -2418,7 +2288,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
         let gens = full.generations_run + 1;
 
         for cut in 1..=gens {
@@ -2427,7 +2297,7 @@ mod tests {
             let truncated = MemJournal {
                 records: mem.records[..1 + cut].to_vec(),
             };
-            let resumed = GaRun::resume_from(&truncated.as_journal(), fma_count).unwrap();
+            let resumed = resume_with(&truncated.as_journal(), fma_count, &mut NullSink).unwrap();
             assert_eq!(full, resumed, "diverged when cut after {cut} records");
         }
     }
@@ -2445,12 +2315,12 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
         let cut = 1 + full.generations_run.div_ceil(2);
         let truncated = MemJournal {
             records: mem.records[..cut].to_vec(),
         };
-        let resumed = GaRun::resume_from(&truncated.as_journal(), fma_count).unwrap();
+        let resumed = resume_with(&truncated.as_journal(), fma_count, &mut NullSink).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.cache_hits, resumed.cache_hits);
         assert_eq!(full.evaluations, resumed.evaluations);
@@ -2465,7 +2335,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
 
         // Kill after two generation records; resume while appending to
         // the truncated journal. The rebuilt journal must equal the
@@ -2474,7 +2344,7 @@ mod tests {
             records: mem.records[..3].to_vec(),
         };
         let journal = partial.as_journal();
-        let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut partial).unwrap();
+        let resumed = resume_with(&journal, fma_count, &mut partial).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(mem.records, partial.records);
     }
@@ -2488,10 +2358,10 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
+        let full = evolve_with(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
         let before = mem.records.len();
         let journal = mem.as_journal();
-        let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut mem).unwrap();
+        let resumed = resume_with(&journal, fma_count, &mut mem).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(mem.records.len(), before, "complete section re-appended");
     }
@@ -2505,7 +2375,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
+        evolve_with(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
 
         // Tamper with the recorded seed: stream seeds no longer match.
         let mut records = mem.records.clone();
@@ -2513,12 +2383,12 @@ mod tests {
             cfg.seed ^= 1;
         }
         let tampered = MemJournal { records };
-        let err = GaRun::resume_from(&tampered.as_journal(), fma_count).unwrap_err();
+        let err = resume_with(&tampered.as_journal(), fma_count, &mut NullSink).unwrap_err();
         assert!(matches!(err, AuditError::Resume { .. }), "{err}");
 
         // And an empty journal has nothing to resume.
         let empty = MemJournal::default();
-        let err = GaRun::resume_from(&empty.as_journal(), fma_count).unwrap_err();
+        let err = resume_with(&empty.as_journal(), fma_count, &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("no GA section"), "{err}");
     }
 
@@ -2543,8 +2413,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let legacy = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let explicit = evolve_journaled(
+        let legacy = evolve_with(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
+        let explicit = evolve_with(
             &GaConfig {
                 pareto: false,
                 ..cfg
@@ -2585,8 +2455,15 @@ mod tests {
             ..GaConfig::default()
         };
         let mut sequential_dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        let sequential =
-            try_evolve_dispatched(&base, &menu(), 10, &[], &mut sequential_dispatcher).unwrap();
+        let sequential = evolve(
+            &base,
+            &menu(),
+            10,
+            &[],
+            &mut sequential_dispatcher,
+            &mut NullSink,
+        )
+        .unwrap();
         let front = sequential
             .pareto_front
             .as_ref()
@@ -2606,8 +2483,7 @@ mod tests {
         }
         for threads in [2, 4, 7] {
             let mut dispatcher = LocalDispatcher::new(mo_fitness, threads);
-            let parallel =
-                try_evolve_dispatched(&base, &menu(), 10, &[], &mut dispatcher).unwrap();
+            let parallel = evolve(&base, &menu(), 10, &[], &mut dispatcher, &mut NullSink).unwrap();
             assert_eq!(sequential, parallel, "diverged at {threads} threads");
         }
     }
@@ -2623,9 +2499,7 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        let run =
-            evolve_journaled_dispatched(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem)
-                .unwrap();
+        let run = evolve(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem).unwrap();
         let mut pending_front: Option<&ParetoFrontRecord> = None;
         let mut generations = 0usize;
         for rec in &mem.records {
@@ -2665,20 +2539,14 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 2);
-        let full =
-            evolve_journaled_dispatched(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem)
-                .unwrap();
+        let full = evolve(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem).unwrap();
         for cut in 1..mem.records.len() {
             let truncated = MemJournal {
                 records: mem.records[..cut].to_vec(),
             };
             let mut dispatcher = LocalDispatcher::new(mo_fitness, 2);
-            let resumed = GaRun::resume_dispatched(
-                &truncated.as_journal(),
-                &mut dispatcher,
-                &mut NullSink,
-            )
-            .unwrap();
+            let resumed =
+                GaRun::resume(&truncated.as_journal(), &mut dispatcher, &mut NullSink).unwrap();
             assert_eq!(full, resumed, "diverged when cut after {cut} records");
         }
     }
@@ -2694,8 +2562,8 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        evolve_journaled_dispatched(&cfg, &menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
-        let err = GaRun::resume_from(&mem.as_journal(), fma_count).unwrap_err();
-        assert!(err.to_string().contains("resume_dispatched"), "{err}");
+        evolve(&cfg, &menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
+        let err = resume_with(&mem.as_journal(), fma_count, &mut NullSink).unwrap_err();
+        assert!(err.to_string().contains("1-axis vectors"), "{err}");
     }
 }

@@ -22,9 +22,8 @@ pub mod study;
 
 pub use cost::CostFunction;
 pub use engine::{
-    evolve, evolve_journaled, evolve_journaled_dispatched, resolve_workers, stream_seed,
-    try_evolve, try_evolve_dispatched, BatchLocalDispatcher, EvalCache, EvalDispatcher, GaConfig,
-    GaRun, GaTelemetry, LocalDispatcher,
+    evolve, stream_seed, EvalCache, EvalDispatcher, GaConfig, GaRun, GaTelemetry,
+    LocalDispatcher, Scored,
 };
 pub use genome::{from_program, to_sub_block, Gene};
 pub use repair::{offending_slots, repair_genome, repair_lint_config, REPAIR_MAX_ATTEMPTS};
@@ -32,4 +31,4 @@ pub use pareto::{
     crowding_distance, non_dominated_sort, rank_population, FrontMember, Objective, ObjectiveSet,
     Objectives, PopulationRanking,
 };
-pub use study::{resume_study, run_study, run_study_journaled, try_run_study, StudySummary};
+pub use study::{resume_study, run_study, StudySummary};

@@ -10,7 +10,7 @@ use audit_error::AuditError;
 use audit_measure::json::JsonValue;
 use serde::{Deserialize, Serialize};
 
-use super::engine::{evolve_journaled, try_evolve, GaConfig, GaRun};
+use super::engine::{evolve, GaConfig, GaRun, LocalDispatcher};
 use super::genome::Gene;
 use crate::journal::{Journal, JournalRecord, JournalSink};
 
@@ -78,70 +78,15 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs the same evolution under each seed and summarizes.
+/// Runs the same evolution under each seed and summarizes, with every
+/// seed's search checkpointed to `sink` (pass
+/// [`NullSink`](crate::journal::NullSink) to keep nothing).
 ///
 /// `fitness` is shared across runs and worker threads (it must be
 /// deterministic per genome, which every AUDIT fitness is — see the
 /// [determinism contract](super::engine)). Each per-seed run evaluates
 /// with `cfg.threads` workers and its own fitness cache, so the summary
 /// is identical no matter the thread count.
-///
-/// # Errors
-///
-/// Returns [`AuditError::InvalidConfig`] if `seeds_list` is empty or
-/// the underlying engine rejects the configuration.
-pub fn try_run_study(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds_list: &[u64],
-    seed_genomes: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> f64 + Sync,
-) -> Result<StudySummary, AuditError> {
-    if seeds_list.is_empty() {
-        return Err(AuditError::invalid(
-            "study",
-            "seeds",
-            "a study needs at least one seed",
-        ));
-    }
-    let mut summary = StudySummary {
-        seeds: seeds_list.to_vec(),
-        best: Vec::new(),
-        generations: Vec::new(),
-        evaluations: Vec::new(),
-        cache_hits: Vec::new(),
-    };
-    for &seed in seeds_list {
-        let cfg = GaConfig {
-            seed,
-            ..cfg.clone()
-        };
-        let run: GaRun = try_evolve(&cfg, menu, genome_len, seed_genomes, &fitness)?;
-        record_seed(&mut summary, &run);
-    }
-    Ok(summary)
-}
-
-/// Panicking convenience wrapper around [`try_run_study`].
-///
-/// # Panics
-///
-/// Panics on any error [`try_run_study`] would return (an empty seed
-/// list, an unrunnable [`GaConfig`]).
-pub fn run_study(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds_list: &[u64],
-    seed_genomes: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> f64 + Sync,
-) -> StudySummary {
-    try_run_study(cfg, menu, genome_len, seeds_list, seed_genomes, fitness)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_study`], with every seed's search checkpointed to `sink`.
 ///
 /// Each seed becomes one journal phase named `seed-<seed>`: a
 /// `phase_start`, the seed's full GA section (`ga_start`, one record per
@@ -152,8 +97,10 @@ pub fn run_study(
 ///
 /// # Errors
 ///
-/// Same as [`try_run_study`], plus any sink I/O error.
-pub fn run_study_journaled(
+/// Returns [`AuditError::InvalidConfig`] if `seeds_list` is empty or
+/// the underlying engine rejects the configuration, and any sink I/O
+/// error.
+pub fn run_study(
     cfg: &GaConfig,
     menu: &[Opcode],
     genome_len: usize,
@@ -162,20 +109,7 @@ pub fn run_study_journaled(
     fitness: impl Fn(&[Gene]) -> f64 + Sync,
     sink: &mut dyn JournalSink,
 ) -> Result<StudySummary, AuditError> {
-    if seeds_list.is_empty() {
-        return Err(AuditError::invalid(
-            "study",
-            "seeds",
-            "a study needs at least one seed",
-        ));
-    }
-    let mut summary = StudySummary {
-        seeds: seeds_list.to_vec(),
-        best: Vec::new(),
-        generations: Vec::new(),
-        evaluations: Vec::new(),
-        cache_hits: Vec::new(),
-    };
+    let mut summary = empty_summary(seeds_list)?;
     for &seed in seeds_list {
         run_one_seed(
             cfg,
@@ -191,19 +125,19 @@ pub fn run_study_journaled(
     Ok(summary)
 }
 
-/// Resumes a study journaled by [`run_study_journaled`], producing a
+/// Resumes a study journaled by [`run_study`], producing a
 /// [`StudySummary`] bit-identical to the uninterrupted run's.
 ///
 /// Seeds whose `phase_end` is in the journal are taken from their
 /// recorded payload without re-running; a seed killed mid-GA is resumed
-/// generation-exact via [`GaRun::resume_with_sink`]; the remaining seeds
+/// generation-exact via [`GaRun::resume`]; the remaining seeds
 /// run fresh. Newly computed records are appended to `sink` (pass a
 /// [`crate::journal::JournalWriter`] reopened on the same file to
 /// continue it).
 ///
 /// # Errors
 ///
-/// Same as [`run_study_journaled`], plus [`AuditError::Resume`] or
+/// Same as [`run_study`], plus [`AuditError::Resume`] or
 /// [`AuditError::Journal`] for a journal inconsistent with the
 /// arguments.
 #[allow(clippy::too_many_arguments)]
@@ -217,20 +151,7 @@ pub fn resume_study(
     fitness: impl Fn(&[Gene]) -> f64 + Sync,
     sink: &mut dyn JournalSink,
 ) -> Result<StudySummary, AuditError> {
-    if seeds_list.is_empty() {
-        return Err(AuditError::invalid(
-            "study",
-            "seeds",
-            "a study needs at least one seed",
-        ));
-    }
-    let mut summary = StudySummary {
-        seeds: seeds_list.to_vec(),
-        best: Vec::new(),
-        generations: Vec::new(),
-        evaluations: Vec::new(),
-        cache_hits: Vec::new(),
-    };
+    let mut summary = empty_summary(seeds_list)?;
     // The seed of the journal's dangling GA section, if one was cut off
     // mid-search.
     let dangling = journal
@@ -246,7 +167,9 @@ pub fn resume_study(
         if dangling == Some(seed) {
             // Killed mid-GA on this seed: replay + continue, journaling
             // the remaining generations, then close the phase.
-            let run = GaRun::resume_with_sink(journal, &fitness, sink)?;
+            let threads = journal.last_ga_section().map_or(0, |s| s.cfg.threads);
+            let mut local = LocalDispatcher::new(&fitness, threads);
+            let run = GaRun::resume(journal, &mut local, sink)?;
             sink.append(&JournalRecord::PhaseEnd {
                 name: format!("seed-{seed}"),
                 payload: encode_seed_payload(&run),
@@ -288,13 +211,32 @@ fn run_one_seed(
     sink.append(&JournalRecord::PhaseStart {
         name: format!("seed-{seed}"),
     })?;
-    let run = evolve_journaled(&cfg, menu, genome_len, seed_genomes, fitness, sink)?;
+    let mut local = LocalDispatcher::new(fitness, cfg.threads);
+    let run = evolve(&cfg, menu, genome_len, seed_genomes, &mut local, sink)?;
     sink.append(&JournalRecord::PhaseEnd {
         name: format!("seed-{seed}"),
         payload: encode_seed_payload(&run),
     })?;
     record_seed(summary, &run);
     Ok(())
+}
+
+/// A summary with no rows yet, for a non-empty `seeds_list`.
+fn empty_summary(seeds_list: &[u64]) -> Result<StudySummary, AuditError> {
+    if seeds_list.is_empty() {
+        return Err(AuditError::invalid(
+            "study",
+            "seeds",
+            "a study needs at least one seed",
+        ));
+    }
+    Ok(StudySummary {
+        seeds: seeds_list.to_vec(),
+        best: Vec::new(),
+        generations: Vec::new(),
+        evaluations: Vec::new(),
+        cache_hits: Vec::new(),
+    })
 }
 
 fn record_seed(summary: &mut StudySummary, run: &GaRun) {
@@ -321,9 +263,10 @@ fn decode_seed_payload(
     summary: &mut StudySummary,
 ) -> Result<(), AuditError> {
     let num = |field: &str| {
-        payload.get(field).and_then(JsonValue::as_u64).ok_or_else(|| {
-            AuditError::resume(format!("seed phase payload has no `{field}`"))
-        })
+        payload
+            .get(field)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| AuditError::resume(format!("seed phase payload has no `{field}`")))
     };
     let best = payload
         .get("best_fitness")
@@ -339,6 +282,7 @@ fn decode_seed_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::NullSink;
 
     fn fma_count(g: &[Gene]) -> f64 {
         g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64
@@ -362,7 +306,9 @@ mod tests {
             &[1, 2, 3],
             &[],
             fma_count,
-        );
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(s.best.len(), 3);
         assert_eq!(s.generations.len(), 3);
         assert_eq!(s.evaluations.len(), 3);
@@ -385,7 +331,9 @@ mod tests {
             &[1, 2, 3, 4, 5],
             &[],
             fma_count,
-        );
+            &mut NullSink,
+        )
+        .unwrap();
         // Every seed should come close to saturating the 10-slot cap.
         assert!(s.min_best() >= 7.0, "floor {}", s.min_best());
         assert!(s.cv() < 0.25, "cv {}", s.cv());
@@ -393,7 +341,16 @@ mod tests {
 
     #[test]
     fn single_seed_statistics_are_defined() {
-        let s = run_study(&cfg(), &Opcode::stress_menu(), 6, &[9], &[], fma_count);
+        let s = run_study(
+            &cfg(),
+            &Opcode::stress_menu(),
+            6,
+            &[9],
+            &[],
+            fma_count,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(s.std_best(), 0.0);
         assert_eq!(s.mean_best(), s.best[0]);
         assert_eq!(s.min_best(), s.max_best());
@@ -402,19 +359,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seed_list_rejected() {
-        let _ = run_study(&cfg(), &Opcode::stress_menu(), 6, &[], &[], fma_count);
+        let _ = run_study(
+            &cfg(),
+            &Opcode::stress_menu(),
+            6,
+            &[],
+            &[],
+            fma_count,
+            &mut NullSink,
+        )
+        .unwrap();
     }
 
     #[test]
     fn try_run_study_reports_errors_instead_of_panicking() {
-        let err = try_run_study(&cfg(), &Opcode::stress_menu(), 6, &[], &[], fma_count)
-            .unwrap_err();
+        let err = run_study(
+            &cfg(),
+            &Opcode::stress_menu(),
+            6,
+            &[],
+            &[],
+            fma_count,
+            &mut NullSink,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("at least one seed"), "{err}");
         let bad = GaConfig {
             population: 0,
             ..cfg()
         };
-        assert!(try_run_study(&bad, &Opcode::stress_menu(), 6, &[1], &[], fma_count).is_err());
+        assert!(run_study(
+            &bad,
+            &Opcode::stress_menu(),
+            6,
+            &[1],
+            &[],
+            fma_count,
+            &mut NullSink
+        )
+        .is_err());
     }
 
     #[test]
@@ -427,10 +410,9 @@ mod tests {
             ..GaConfig::default()
         };
         let menu = Opcode::stress_menu();
-        let plain = run_study(&small, &menu, 6, &[1, 2], &[], fma_count);
+        let plain = run_study(&small, &menu, 6, &[1, 2], &[], fma_count, &mut NullSink).unwrap();
         let mut mem = MemJournal::default();
-        let journaled =
-            run_study_journaled(&small, &menu, 6, &[1, 2], &[], fma_count, &mut mem).unwrap();
+        let journaled = run_study(&small, &menu, 6, &[1, 2], &[], fma_count, &mut mem).unwrap();
         assert_eq!(plain, journaled);
         // Two phases, each bracketing one GA section.
         let journal = mem.as_journal();
@@ -449,8 +431,7 @@ mod tests {
         };
         let menu = Opcode::stress_menu();
         let mut mem = MemJournal::default();
-        let full = run_study_journaled(&small, &menu, 6, &[7, 8, 9], &[], fma_count, &mut mem)
-            .unwrap();
+        let full = run_study(&small, &menu, 6, &[7, 8, 9], &[], fma_count, &mut mem).unwrap();
 
         // Cut the journal after every prefix of records: mid-GA, between
         // seeds, before anything — all must resume to the same summary.

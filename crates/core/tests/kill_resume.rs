@@ -3,14 +3,14 @@
 //! The unit tests in `ga::engine` prove resume correctness against an
 //! in-memory sink; these tests go through the full file path — a
 //! [`JournalWriter`] on disk, a "kill" simulated by truncating the
-//! file, [`JournalWriter::resume`] + [`GaRun::resume_from`] — and
+//! file, [`JournalWriter::resume`] + [`GaRun::resume`] — and
 //! assert the acceptance criterion: the resumed [`GaRun`] is
 //! bit-identical to the uninterrupted run's.
 
 use std::path::PathBuf;
 
-use audit_core::ga::{evolve_journaled, GaConfig, GaRun, Gene};
-use audit_core::journal::{Journal, JournalWriter};
+use audit_core::ga::{evolve, GaConfig, GaRun, Gene, LocalDispatcher};
+use audit_core::journal::{Journal, JournalWriter, NullSink};
 use audit_cpu::Opcode;
 use audit_measure::json::JsonValue;
 
@@ -42,11 +42,17 @@ fn fitness(g: &[Gene]) -> f64 {
         .sum()
 }
 
+/// The in-process dispatcher over [`fitness`].
+fn local() -> LocalDispatcher<fn(&[Gene]) -> f64> {
+    LocalDispatcher::new(fitness, 1)
+}
+
 fn run_full(path: &PathBuf) -> GaRun {
     let mut writer =
         JournalWriter::create(path, "test", JsonValue::object(vec![])).expect("create journal");
-    let run = evolve_journaled(&cfg(), &Opcode::stress_menu(), 6, &[], fitness, &mut writer)
-        .expect("full run");
+    let mut local = LocalDispatcher::new(fitness, cfg().threads);
+    let run =
+        evolve(&cfg(), &Opcode::stress_menu(), 6, &[], &mut local, &mut writer).expect("full run");
     writer.finish().expect("finish journal");
     run
 }
@@ -78,8 +84,7 @@ fn truncated_journal_resumes_bit_identically() {
 
         let journal = Journal::load(&path).expect("truncated journal loads");
         let mut writer = JournalWriter::resume(&path).expect("writer resumes");
-        let resumed = GaRun::resume_with_sink(&journal, fitness, &mut writer)
-            .expect("run resumes");
+        let resumed = GaRun::resume(&journal, &mut local(), &mut writer).expect("run resumes");
         assert_eq!(full, resumed, "GaRun diverged when killed at line {cut}");
 
         // After resume, the journal on disk holds the same records as
@@ -120,8 +125,7 @@ fn resume_is_chainable_across_multiple_kills() {
     for _ in 0..2 {
         let journal = Journal::load(&path).expect("journal loads");
         let mut writer = JournalWriter::resume(&path).expect("writer resumes");
-        let resumed =
-            GaRun::resume_with_sink(&journal, fitness, &mut writer).expect("run resumes");
+        let resumed = GaRun::resume(&journal, &mut local(), &mut writer).expect("run resumes");
         assert_eq!(full, resumed);
         // Second kill: drop the last two records (ga_end and the final
         // generation) so the next iteration resumes mid-GA again.
@@ -145,11 +149,11 @@ fn resume_refuses_a_journal_from_a_different_run() {
     let mut text = std::fs::read_to_string(&path).expect("journal readable");
     text = text.replace("\"seed\":42", "\"seed\":43");
     let tampered = Journal::parse(&text).expect("tampered journal parses");
-    let err = GaRun::resume_from(&tampered, fitness).unwrap_err();
+    let err = GaRun::resume(&tampered, &mut local(), &mut NullSink).unwrap_err();
     assert!(
         err.to_string().contains("different run"),
         "unexpected error: {err}"
     );
     // The untampered journal still resumes.
-    assert!(GaRun::resume_from(&journal, fitness).is_ok());
+    assert!(GaRun::resume(&journal, &mut local(), &mut NullSink).is_ok());
 }

@@ -4,12 +4,16 @@
 
 use audit_core::analyze::{verify, VerifyTarget};
 use audit_core::dither::DitherPlan;
-use audit_core::ga::{evolve_journaled, to_sub_block, CostFunction, GaConfig, Gene};
+use audit_core::ga::{evolve, to_sub_block, CostFunction, GaConfig, Gene, LocalDispatcher};
 use audit_core::journal::{JournalRecord, MemJournal};
 use audit_core::patterns::ActivityPattern;
 use audit_core::report::{vf_rel, Table};
 use audit_cpu::{Opcode, Program};
 use proptest::prelude::*;
+
+fn imul_count(g: &[Gene]) -> f64 {
+    g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -78,12 +82,12 @@ proptest! {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(
+        evolve(
             &cfg,
             &Opcode::stress_menu(),
             6,
             &[],
-            |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+            &mut LocalDispatcher::new(imul_count, cfg.threads),
             &mut mem,
         )
         .expect("tiny GA runs");
@@ -115,12 +119,12 @@ proptest! {
                 ..GaConfig::default()
             };
             let mut mem = MemJournal::default();
-            evolve_journaled(
+            evolve(
                 &cfg,
                 &Opcode::stress_menu(),
                 6,
                 &[],
-                |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+                &mut LocalDispatcher::new(imul_count, cfg.threads),
                 &mut mem,
             )
             .expect("tiny GA runs");
@@ -155,12 +159,12 @@ proptest! {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(
+        evolve(
             &cfg,
             &Opcode::stress_menu(),
             6,
             &[],
-            |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+            &mut LocalDispatcher::new(imul_count, cfg.threads),
             &mut mem,
         )
         .expect("tiny GA runs");

@@ -6,10 +6,11 @@
 //! resilience accounting — regardless of co-tenants, worker count,
 //! worker deaths, network chaos, or manager restarts (WAL prefill).
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
+use audit_core::ga::{
+    self, CostFunction, EvalDispatcher, GaConfig, GaRun, Gene, LocalDispatcher, ObjectiveSet,
+};
 use audit_core::resilient::genome_key;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig};
 use audit_cpu::isa::Opcode;
@@ -50,27 +51,23 @@ fn ctx(spec: FitnessSpec) -> EvalContext {
     }
 }
 
-/// The in-process reference run, accumulating resilience deltas the
-/// same way `Audit::evolve_kernel_journaled` does.
+/// The in-process reference run, with the resilience deltas the local
+/// dispatcher folds (as `Audit::evolve_dispatched` reports them).
 fn local_run(spec: FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal, ResilienceReport) {
     let rig = Rig::bulldozer();
-    let log = Mutex::new(ResilienceReport::default());
+    let fitness = |genome: &[Gene]| spec.evaluate_objectives(&rig, genome);
+    let mut local = LocalDispatcher::new(fitness, cfg.threads);
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled(
+    let run = ga::evolve(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
         &[],
-        |genome| {
-            let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
-            log.lock().unwrap().merge(&delta);
-            objectives
-        },
+        &mut local,
         &mut mem,
     )
     .unwrap();
-    let report = *log.lock().unwrap();
-    (run, mem, report)
+    (run, mem, local.resilience())
 }
 
 /// Runs every listed campaign *concurrently* on one fleet sharing
@@ -112,7 +109,7 @@ fn fleet_run(
                     .unwrap();
                 let mut dispatcher = pool.dispatcher(id);
                 let mut mem = MemJournal::default();
-                let run = ga::evolve_journaled_dispatched(
+                let run = ga::evolve(
                     &cfg,
                     &Opcode::stress_menu(),
                     GENOME_LEN,
@@ -287,7 +284,7 @@ fn identical_tenants_hit_the_cross_campaign_cache() {
             .unwrap();
         let mut dispatcher = pool.dispatcher(id);
         let mut mem = MemJournal::default();
-        let run = ga::evolve_journaled_dispatched(
+        let run = ga::evolve(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,
@@ -338,18 +335,14 @@ fn differing_contexts_never_share_cache_entries() {
         // The solo reference for this operating point, via the same
         // context the worker rebuilds from the Setup frame.
         let rig = tenant_ctx.rig().unwrap();
-        let log = Mutex::new(ResilienceReport::default());
+        let fitness = |genome: &[Gene]| base.evaluate_objectives(&rig, genome);
         let mut lmem = MemJournal::default();
-        let lrun = ga::evolve_journaled(
+        let lrun = ga::evolve(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,
             &[],
-            |genome| {
-                let (objectives, delta) = base.evaluate_objectives(&rig, genome);
-                log.lock().unwrap().merge(&delta);
-                objectives
-            },
+            &mut LocalDispatcher::new(fitness, cfg.threads),
             &mut lmem,
         )
         .unwrap();
@@ -365,7 +358,7 @@ fn differing_contexts_never_share_cache_entries() {
             .unwrap();
         let mut dispatcher = pool.dispatcher(id);
         let mut mem = MemJournal::default();
-        let run = ga::evolve_journaled_dispatched(
+        let run = ga::evolve(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,

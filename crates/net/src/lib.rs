@@ -13,8 +13,8 @@
 //!   behind one address syntax (`host:port` or `unix:/path`),
 //! * [`proto`] — the protocol messages and the [`proto::EvalContext`]
 //!   setup payload that lets a worker rebuild the exact fitness
-//!   function ([`audit_core::FitnessSpec::evaluate`]) the broker's GA
-//!   is searching with,
+//!   function ([`audit_core::FitnessSpec::evaluate_objectives`]) the
+//!   broker's GA is searching with,
 //! * [`round`] — the sans-IO round core ([`round::RoundCore`]): one
 //!   campaign's round state and the whole defense stack (content
 //!   addressing, in-flight windows, leases, retry/quarantine,
@@ -49,7 +49,7 @@
 //!
 //! The broker never lets scheduling reach the results: the engine hands
 //! it the slots to measure, workers compute
-//! [`audit_core::FitnessSpec::evaluate`] (deterministic per genome,
+//! [`audit_core::FitnessSpec::evaluate_objectives`] (deterministic per genome,
 //! fault schedule content-addressed by `(seed, key, attempt)`), and the
 //! engine sorts returned `(slot, fitness)` pairs into slot order before
 //! any cache insert. `GaRun` results, `evaluations` counts, cache

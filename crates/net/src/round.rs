@@ -32,7 +32,8 @@
 //!   [`BrokerConfig::verify_fraction`] of jobs needs two bit-identical
 //!   answers; disagreeing voters are evicted once agreement forms, and a
 //!   disagreement with nothing outstanding queues a tiebreak copy.
-//!   Exactly one resilience delta is merged per job.
+//!   Exactly one resilience delta is merged per settled slot: slots
+//!   holding the same genome share one job and its verdict.
 //! * **Chaos.** [`BrokerConfig::chaos`] decides each outbound frame's
 //!   [`FrameFate`] and each inbound result's drop, corruption, stall, or
 //!   lie, all as pure functions of `(key, attempt, copy)`.
@@ -75,9 +76,9 @@ pub enum Action {
         /// Bit flipped when `fate` is [`FrameFate::Corrupt`].
         flip: u64,
     },
-    /// A job's score is final: append a WAL `result` record. The core
+    /// A slot's score is final: append a WAL `result` record. The core
     /// has already merged `resilience` into its report and recorded the
-    /// score.
+    /// score. A job whose genome fills several slots settles each one.
     Settled {
         /// The settled population slot.
         slot: usize,
@@ -85,7 +86,7 @@ pub enum Action {
         key: u64,
         /// The verdict.
         objectives: Objectives,
-        /// The one resilience delta merged for this job.
+        /// The resilience delta merged for this slot.
         resilience: ResilienceReport,
         /// True when the retry budget ran out instead of votes agreeing.
         quarantined: bool,
@@ -153,12 +154,16 @@ struct Vote {
     resilience: ResilienceReport,
 }
 
-/// Per-job settlement state: how many bit-identical votes are needed
-/// (1 normally, 2 under cross-validation) and the votes so far. Present
-/// exactly while the job is open.
+/// Per-job settlement state: the population slots holding the job's
+/// genome, how many bit-identical votes are needed (1 normally, 2 under
+/// cross-validation), and the votes so far. Present exactly while the
+/// job is open.
 #[derive(Debug)]
 struct KeyState {
-    slot: usize,
+    /// Every slot of the round with this key. The engine sends
+    /// duplicate genomes as separate slots when its cache is off; one
+    /// verdict settles them all.
+    slots: Vec<usize>,
     needed: usize,
     /// Copies issued so far (primary, verification, tiebreaks) — the
     /// next copy index, so chaos draws stay distinct per dispatch.
@@ -225,20 +230,25 @@ impl RoundCore {
     /// Opens a round over `jobs` (slots of `population`). A result in
     /// the WAL prefill is final and scored at once; every other job
     /// queues one copy, or two when it [`verifies`](Self::verifies).
+    /// Slots holding the same genome share one job.
     pub fn open(&mut self, population: &[Vec<Gene>], jobs: &[usize]) {
         self.target = jobs.len();
         for &slot in jobs {
             let key = genome_key(&population[slot]);
-            if let Some((objectives, delta)) = self.prefill.remove(&key) {
-                self.report.merge(&delta);
-                self.scores.push((slot, objectives));
+            if let Some((objectives, delta)) = self.prefill.get(&key) {
+                self.report.merge(delta);
+                self.scores.push((slot, objectives.clone()));
+                continue;
+            }
+            if let Some(state) = self.keys.get_mut(&key) {
+                state.slots.push(slot);
                 continue;
             }
             let needed = if self.verifies(key) { 2 } else { 1 };
             self.keys.insert(
                 key,
                 KeyState {
-                    slot,
+                    slots: vec![slot],
                     needed,
                     dispatched: needed as u32,
                     votes: Vec::new(),
@@ -339,11 +349,11 @@ impl RoundCore {
     /// Gives up on a job whose copies keep getting lost: scores it like
     /// a quarantined candidate (logged, so a resume does not retry it).
     fn quarantine(&mut self, job: Pending, out: &mut Vec<Action>) {
-        if self.keys.remove(&job.key).is_none() {
+        let Some(state) = self.keys.remove(&job.key) else {
             // Another copy already settled the job; this straggler
             // copy simply dies.
             return;
-        }
+        };
         self.pending.retain(|p| p.key != job.key);
         let delta = ResilienceReport {
             evaluations: 1,
@@ -351,29 +361,34 @@ impl RoundCore {
             ..ResilienceReport::default()
         };
         let verdict = Objectives(vec![self.cfg.quarantine_fitness; self.n_objectives.max(1)]);
-        self.settle(job, verdict, delta, true, out);
+        self.settle(job.key, &state.slots, verdict, delta, true, out);
     }
 
+    /// Settles every slot of a job on one verdict.
     fn settle(
         &mut self,
-        job: Pending,
+        key: u64,
+        slots: &[usize],
         objectives: Objectives,
         resilience: ResilienceReport,
         quarantined: bool,
         out: &mut Vec<Action>,
     ) {
-        // Exactly one resilience delta per job — agreeing votes carry
-        // the identical delta (deterministic evaluation), so the merged
-        // report matches the plain in-process run.
-        self.report.merge(&resilience);
-        self.scores.push((job.slot, objectives.clone()));
-        out.push(Action::Settled {
-            slot: job.slot,
-            key: job.key,
-            objectives,
-            resilience,
-            quarantined,
-        });
+        // One resilience delta per slot — agreeing votes carry the
+        // identical delta (deterministic evaluation), and the in-process
+        // run evaluates a duplicated genome once per slot, so the merged
+        // report matches it.
+        for &slot in slots {
+            self.report.merge(&resilience);
+            self.scores.push((slot, objectives.clone()));
+            out.push(Action::Settled {
+                slot,
+                key,
+                objectives: objectives.clone(),
+                resilience,
+                quarantined,
+            });
+        }
     }
 
     /// Removes an in-flight entry, freeing its window slot.
@@ -533,9 +548,9 @@ impl RoundCore {
             .collect();
         evicted.sort_unstable();
         evicted.dedup();
-        let slot = state.slot;
+        let slots = std::mem::take(&mut state.slots);
         self.keys.remove(&job.key);
-        self.settle(Pending { slot, ..job }, verdict, delta, false, out);
+        self.settle(job.key, &slots, verdict, delta, false, out);
         out.extend(evicted.into_iter().map(|worker| Action::Evict {
             worker,
             key: job.key,

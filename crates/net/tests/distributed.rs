@@ -7,10 +7,11 @@
 //! dying mid-generation, and with the broker resuming from a journal
 //! prefix plus its write-ahead log.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
+use audit_core::ga::{
+    self, CostFunction, EvalDispatcher, GaConfig, GaRun, Gene, LocalDispatcher, ObjectiveSet,
+};
 use audit_core::resilient::genome_key;
 use audit_core::{
     FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig,
@@ -56,27 +57,23 @@ fn ctx(spec: FitnessSpec) -> EvalContext {
     }
 }
 
-/// The in-process reference run, accumulating resilience deltas the
-/// same way `Audit::evolve_kernel_journaled` does.
+/// The in-process reference run, with the resilience deltas the local
+/// dispatcher folds (as `Audit::evolve_dispatched` reports them).
 fn local_run(spec: FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal, ResilienceReport) {
     let rig = Rig::bulldozer();
-    let log = Mutex::new(ResilienceReport::default());
+    let fitness = |genome: &[Gene]| spec.evaluate_objectives(&rig, genome);
+    let mut local = LocalDispatcher::new(fitness, cfg.threads);
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled(
+    let run = ga::evolve(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
         &[],
-        |genome| {
-            let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
-            log.lock().unwrap().merge(&delta);
-            objectives
-        },
+        &mut local,
         &mut mem,
     )
     .unwrap();
-    let report = *log.lock().unwrap();
-    (run, mem, report)
+    (run, mem, local.resilience())
 }
 
 /// A distributed run over loopback TCP with per-worker options (so a
@@ -115,7 +112,7 @@ fn distributed_run_with(
         .collect();
     broker.wait_for_workers(wait_for).unwrap();
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled_dispatched(
+    let run = ga::evolve(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
@@ -165,7 +162,7 @@ fn metrics_endpoint_answers_a_scrape_and_counts_work() {
     let worker = std::thread::spawn(move || run_worker(&worker_addr, &WorkerOptions::default()));
     broker.wait_for_workers(1).unwrap();
     let mut mem = MemJournal::default();
-    ga::evolve_journaled_dispatched(
+    ga::evolve(
         &cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
@@ -280,6 +277,41 @@ fn pareto_mode_matches_the_in_process_run_at_any_worker_count() {
             "journal diverged at {workers} workers"
         );
     }
+}
+
+#[test]
+fn cache_off_run_with_duplicate_slots_matches_the_in_process_run() {
+    // With the GA cache disabled the engine sends every slot, so a
+    // generation holding one genome twice (an elite and its clone) puts
+    // both slots in one round. Both must settle from one verdict, each
+    // merging the resilience delta its in-process evaluation folds.
+    let spec = fspec(MeasurePolicy {
+        faults: FaultPlan::parse("5:noise=0.001").unwrap(),
+        ..MeasurePolicy::disabled()
+    });
+    let cfg = GaConfig {
+        cache_capacity: 0,
+        ..ga_cfg()
+    };
+    let (local, local_journal, local_report) = local_run(spec, &cfg);
+    let duplicated = local_journal.records.iter().any(|r| match r {
+        audit_core::JournalRecord::Generation(g) => {
+            let distinct: std::collections::HashSet<&Vec<Gene>> = g.population.iter().collect();
+            distinct.len() < g.population.len()
+        }
+        _ => false,
+    });
+    assert!(
+        duplicated,
+        "no generation repeats a genome; the test proves nothing"
+    );
+    let opts = [WorkerOptions::default(), WorkerOptions::default()];
+    let (dist, dist_journal, dist_report) = distributed_run(spec, &cfg, &opts, 2);
+    assert_eq!(dist, local);
+    assert_eq!(dist.evaluations, local.evaluations);
+    assert_eq!(dist_journal.records, local_journal.records);
+    assert_eq!(dist_report, local_report);
+    assert!(local_report.evaluations > 0, "fault policy was not active");
 }
 
 #[test]
@@ -406,7 +438,7 @@ fn broker_resumes_from_journal_prefix_and_wal() {
     let worker = std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()));
     broker.wait_for_workers(1).unwrap();
     let mut mem = MemJournal::default();
-    let resumed = GaRun::resume_dispatched(&prefix, &mut broker, &mut mem).unwrap();
+    let resumed = GaRun::resume(&prefix, &mut broker, &mut mem).unwrap();
     broker.shutdown();
     worker.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();

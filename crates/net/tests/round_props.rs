@@ -7,13 +7,15 @@
 //! threads, or real leases: time is a caller-supplied `Instant` the
 //! script advances by a whole lease per tick. Each case runs two
 //! rounds on one core, so the first round's stragglers land in the
-//! second. The properties:
+//! second. Populations may hold one genome in several slots, as the GA
+//! sends them when its cache is off. The properties:
 //!
-//! * every job slot settles exactly once,
+//! * every job slot settles exactly once, and slots sharing a genome
+//!   settle on the same verdict,
 //! * a cross-validated job settles on the honest bits and no honest
 //!   worker is ever evicted (every lie is distinct, so two agreeing
 //!   votes are honest ones),
-//! * exactly one resilience delta is merged per job,
+//! * exactly one resilience delta is merged per slot,
 //! * a job is quarantined only after `retries + 1` attempts,
 //! * no worker's window is ever exceeded, and a closed round holds no
 //!   window slot.
@@ -310,10 +312,13 @@ impl Sim {
         Ok(())
     }
 
-    /// One full round over `n_jobs` fresh genomes, then the per-round
-    /// properties.
-    fn round(&mut self, round: u8, n_jobs: usize, steps: usize) -> TestCaseResult {
-        let population: Vec<Vec<Gene>> = (0..n_jobs).map(|slot| genome(round, slot)).collect();
+    /// One full round over `n_jobs` slots holding `distinct` fresh
+    /// genomes (slot `i` holds genome `i % distinct`), then the
+    /// per-round properties.
+    fn round(&mut self, round: u8, n_jobs: usize, distinct: usize, steps: usize) -> TestCaseResult {
+        let population: Vec<Vec<Gene>> = (0..n_jobs)
+            .map(|slot| genome(round, slot % distinct))
+            .collect();
         let jobs: Vec<usize> = (0..n_jobs).collect();
         let report_before = self.core.report();
         self.settled.clear();
@@ -333,9 +338,15 @@ impl Sim {
         settled_slots.sort_unstable();
         prop_assert_eq!(&settled_slots, &jobs);
 
-        // Exactly one resilience delta per job.
-        let keys: BTreeSet<u64> = self.settled.iter().map(|s| s.1).collect();
-        prop_assert_eq!(keys.len(), n_jobs);
+        // Slots sharing a genome settle on one verdict.
+        let mut verdicts: HashMap<u64, &Objectives> = HashMap::new();
+        for (_, key, objectives, _, _) in &self.settled {
+            let first = *verdicts.entry(*key).or_insert(objectives);
+            prop_assert_eq!(first, objectives);
+        }
+        prop_assert_eq!(verdicts.len(), distinct);
+
+        // Exactly one resilience delta per slot.
         let mut merged = report_before;
         for (_, _, _, resilience, _) in &self.settled {
             merged.merge(resilience);
@@ -383,6 +394,7 @@ proptest! {
     #[test]
     fn rounds_settle_every_slot_once_under_any_event_script(
         shape in (1u64..=4, 0u64..=2, 1usize..=8, 1usize..=3, 0u32..=3),
+        distinct in 1usize..=8,
         verify in 0usize..3,
         chaos in (any::<u64>(), 0u32..=3),
         steps in 0usize..=160,
@@ -413,8 +425,9 @@ proptest! {
             ..BrokerConfig::default()
         };
         let mut sim = Sim::new(cfg, workers, liars.min(workers - 1), script);
-        sim.round(0, n_jobs, steps)?;
-        sim.round(1, n_jobs, steps)?;
+        let distinct = distinct.min(n_jobs);
+        sim.round(0, n_jobs, distinct, steps)?;
+        sim.round(1, n_jobs, distinct, steps)?;
     }
 }
 

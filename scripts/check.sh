@@ -35,14 +35,53 @@ if ! diff -u api-surface.txt <(api_surface); then
     exit 1
 fi
 
+echo "==> docs flags (every --flag of a documented audit command is in \`audit help\`)"
+# Every `audit …`, `$ audit …`, and `cargo run … --bin audit -- …` line
+# in a fenced block of README.md and docs/*.md, with `\` continuations
+# joined and `#` comments dropped, may only use flags the usage text
+# documents — so a removed or renamed flag cannot linger in the docs.
+doc_flags() {
+    awk '
+        FNR == 1 { fence = 0; cont = "" }
+        /^[[:space:]]*```/ { fence = !fence; cont = ""; next }
+        !fence { next }
+        {
+            line = $0
+            if (cont != "") { line = cont " " line } else { start = FNR }
+            if (line ~ /\\[[:space:]]*$/) { sub(/\\[[:space:]]*$/, "", line); cont = line; next }
+            cont = ""
+            sub(/^[[:space:]]+/, "", line)
+            if (line ~ /^#/) next
+            sub(/[[:space:]]#.*$/, "", line)
+            cmd = ""
+            if (line ~ /^\$ audit /) cmd = substr(line, 3)
+            else if (line ~ /^audit /) cmd = line
+            else if (match(line, /--bin audit -- /)) cmd = substr(line, RSTART + RLENGTH)
+            while (cmd != "" && match(cmd, /--[a-z][a-z0-9-]*/)) {
+                print FILENAME ":" start ": " substr(cmd, RSTART, RLENGTH)
+                cmd = substr(cmd, RSTART + RLENGTH)
+            }
+        }
+    ' README.md docs/*.md
+}
+help_flags=$(cargo run --release -q -p audit-cli --bin audit -- help \
+    | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u)
+[[ -n "$help_flags" ]] || { echo "audit help printed no flags" >&2; exit 1; }
+stale=$(doc_flags | while read -r where flag; do
+    grep -qxF -- "$flag" <<< "$help_flags" || echo "  $where $flag"
+done)
+if [[ -n "$stale" ]]; then
+    echo "documented audit commands use flags missing from \`audit help\`:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "==> cargo clippy (warnings are errors; deprecated calls are errors)"
-# `-D deprecated` keeps the workspace off the deprecated scalar
-# `FitnessSpec::evaluate`/`evaluate_batch` wrappers (and anything else
-# we deprecate later): internal callers must migrate, only the pinned
-# `#[allow(deprecated)]` equivalence test may touch them.
+# `-D deprecated` keeps the workspace off anything we deprecate:
+# internal callers must migrate before a deprecated item ships.
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> self-lint (every built-in program must be clean)"
